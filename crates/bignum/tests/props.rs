@@ -189,6 +189,7 @@ fn jacobi_multiplicative() {
 #[test]
 fn crt_is_consistent() {
     let mut rng = XorShiftSource::new(0xC47);
+    let p_inv_q = invmod(&Nat::from(65537u64), &Nat::from(65539u64)).unwrap();
     for _ in 0..CASES {
         // p=65537, q=65539 are coprime.
         let x = rand_u64(&mut rng) as u32;
@@ -197,7 +198,7 @@ fn crt_is_consistent() {
         let xn = Nat::from(x as u64);
         let xp = xn.rem_nat(&p).unwrap();
         let xq = xn.rem_nat(&q).unwrap();
-        let rec = crt_pair(&xp, &p, &xq, &q);
+        let rec = crt_pair(&xp, &p, &xq, &q, &p_inv_q);
         assert_eq!(rec.rem_nat(&p).unwrap(), xp);
         assert_eq!(rec.rem_nat(&q).unwrap(), xq);
     }

@@ -17,7 +17,9 @@
 //! `(e, f)`. Verification is a single modular squaring — cheap, which is
 //! what lets SFS read-only servers serve many clients (§2.4).
 
-use sfs_bignum::{crt_pair, gen_prime_congruent, jacobi, sqrt_mod_3mod4, Nat, RandomSource};
+use sfs_bignum::{
+    crt_pair, gen_prime_congruent, invmod, jacobi, sqrt_mod_3mod4, Nat, RandomSource,
+};
 
 use crate::sha1::{mgf1, sha1, sha1_concat, DIGEST_LEN};
 
@@ -60,6 +62,8 @@ pub struct RabinPublicKey {
 pub struct RabinPrivateKey {
     p: Nat,
     q: Nat,
+    /// `p⁻¹ mod q`, the CRT coefficient every root recombination uses.
+    p_inv_q: Nat,
     public: RabinPublicKey,
 }
 
@@ -114,16 +118,10 @@ pub fn generate_keypair<R: RandomSource>(bits: usize, rng: &mut R) -> RabinPriva
     loop {
         let p = gen_prime_congruent(half, 3, 8, rng);
         let q = gen_prime_congruent(bits - half, 7, 8, rng);
-        if p == q {
-            continue;
+        // Distinct primes are coprime; only p == q has no inverse.
+        if let Some(key) = RabinPrivateKey::from_factors(p, q) {
+            return key;
         }
-        let n = p.mul_nat(&q);
-        let k = n.to_bytes_be().len();
-        return RabinPrivateKey {
-            p,
-            q,
-            public: RabinPublicKey { n, k },
-        };
     }
 }
 
@@ -270,11 +268,15 @@ impl RabinPrivateKey {
         let mut h = fdh(msg, n, self.public.k);
         // Degenerate h (shared factor with n) would reveal the
         // factorization; perturb deterministically. Probability ~ 2^-600.
-        while h.gcd(n) != Nat::one() {
+        // A Jacobi symbol is zero exactly when h shares a factor with that
+        // modulus, so the symbols double as the coprimality test.
+        let (jp, jq) = loop {
+            let (jp, jq) = (jacobi(&h, &self.p), jacobi(&h, &self.q));
+            if jp != 0 && jq != 0 {
+                break (jp, jq);
+            }
             h = h.add_nat(&Nat::one()).rem_nat(n).unwrap();
-        }
-        let jp = jacobi(&h, &self.p);
-        let jq = jacobi(&h, &self.q);
+        };
         // ×2 flips the symbol mod p (p ≡ 3 mod 8 ⇒ (2/p) = −1) but not mod
         // q (q ≡ 7 mod 8 ⇒ (2/q) = +1); ×(−1) flips both (p, q ≡ 3 mod 4).
         let double = jp != jq;
@@ -290,7 +292,7 @@ impl RabinPrivateKey {
         debug_assert_eq!(jacobi(&target, &self.q), 1);
         let rp = sqrt_mod_3mod4(&target, &self.p).expect("tweaked hash must be a QR mod p");
         let rq = sqrt_mod_3mod4(&target, &self.q).expect("tweaked hash must be a QR mod q");
-        let s = crt_pair(&rp, &self.p, &rq, &self.q);
+        let s = crt_pair(&rp, &self.p, &rq, &self.q, &self.p_inv_q);
         // Canonicalize to the smaller of {s, n-s} so signing is a function.
         let s_alt = n.checked_sub(&s).unwrap();
         let root = if s_alt < s { s_alt } else { s };
@@ -305,12 +307,8 @@ impl RabinPrivateKey {
     fn all_roots(&self, rp: &Nat, rq: &Nat) -> [Nat; 4] {
         let np = self.p.checked_sub(rp).unwrap().rem_nat(&self.p).unwrap();
         let nq = self.q.checked_sub(rq).unwrap().rem_nat(&self.q).unwrap();
-        [
-            crt_pair(rp, &self.p, rq, &self.q),
-            crt_pair(rp, &self.p, &nq, &self.q),
-            crt_pair(&np, &self.p, rq, &self.q),
-            crt_pair(&np, &self.p, &nq, &self.q),
-        ]
+        let crt = |xp: &Nat, xq: &Nat| crt_pair(xp, &self.p, xq, &self.q, &self.p_inv_q);
+        [crt(rp, rq), crt(rp, &nq), crt(&np, rq), crt(&np, &nq)]
     }
 
     /// Attempts OAEP unpadding of a candidate root.
@@ -364,7 +362,7 @@ impl RabinPrivateKey {
     }
 
     /// Parses a blob from [`Self::to_bytes`], validating the Rabin–
-    /// Williams congruences.
+    /// Williams congruences and that `p` and `q` are coprime.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, RabinError> {
         let take = |data: &[u8]| -> Result<(Nat, usize), RabinError> {
             if data.len() < 4 {
@@ -384,11 +382,19 @@ impl RabinPrivateKey {
         if p.div_rem_u64(8).1 != 3 || q.div_rem_u64(8).1 != 7 {
             return Err(RabinError::BadKeyEncoding);
         }
+        RabinPrivateKey::from_factors(p, q).ok_or(RabinError::BadKeyEncoding)
+    }
+
+    /// Builds the key for `n = p·q`, or `None` when `p` and `q` share a
+    /// factor (CRT recombination needs `p⁻¹ mod q`).
+    fn from_factors(p: Nat, q: Nat) -> Option<Self> {
+        let p_inv_q = invmod(&p, &q)?;
         let n = p.mul_nat(&q);
         let k = n.to_bytes_be().len();
-        Ok(RabinPrivateKey {
+        Some(RabinPrivateKey {
             p,
             q,
+            p_inv_q,
             public: RabinPublicKey { n, k },
         })
     }
@@ -541,6 +547,21 @@ mod tests {
             RabinPublicKey::from_bytes(&[0, 1, 2]),
             Err(RabinError::BadKeyEncoding)
         );
+    }
+
+    #[test]
+    fn key_blob_with_shared_factor_rejected() {
+        // p = 11 ≡ 3 and q = 55 ≡ 7 (mod 8) pass the congruence checks but
+        // share the factor 11, so no CRT coefficient exists.
+        let mut blob = Vec::new();
+        for v in [11u8, 55] {
+            blob.extend_from_slice(&1u32.to_be_bytes());
+            blob.push(v);
+        }
+        assert!(matches!(
+            RabinPrivateKey::from_bytes(&blob),
+            Err(RabinError::BadKeyEncoding)
+        ));
     }
 
     #[test]
