@@ -20,7 +20,7 @@ mod prime;
 mod rand_source;
 
 pub use int::{Int, Sign};
-pub use modular::{crt_pair, invmod, jacobi, modpow, sqrt_mod_3mod4};
+pub use modular::{invmod, jacobi, modpow, sqrt_mod_3mod4, Crt};
 pub use nat::{DivideByZero, Nat};
 pub use prime::{gen_prime, gen_prime_congruent, is_probable_prime, MR_ROUNDS};
 pub use rand_source::{CountingSource, RandomSource, XorShiftSource};

@@ -258,28 +258,49 @@ pub fn sqrt_mod_3mod4(a: &Nat, p: &Nat) -> Option<Nat> {
     }
 }
 
-/// Chinese-remainder recombination for two coprime moduli: finds the unique
-/// `x mod p*q` with `x ≡ xp (mod p)` and `x ≡ xq (mod q)`, given
-/// `p_inv_q = p⁻¹ mod q` (from [`invmod`]; callers that recombine under the
-/// same moduli repeatedly compute it once).
-///
-/// # Preconditions
-///
-/// `p·p_inv_q ≡ 1 (mod q)`. The coefficient is not checked in release
-/// builds: a wrong one gives a wrong result, not a panic.
-pub fn crt_pair(xp: &Nat, p: &Nat, xq: &Nat, q: &Nat, p_inv_q: &Nat) -> Nat {
-    debug_assert!(
-        p.mul_nat(p_inv_q).rem_nat(q).unwrap().is_one(),
-        "crt_pair: p_inv_q is not p⁻¹ mod q"
-    );
-    // x = xp + p * ((xq - xp) * p^-1 mod q).
-    let xp_q = xp.rem_nat(q).unwrap();
-    let diff = match xq.checked_sub(&xp_q) {
-        Some(d) => d,
-        None => xq.add_nat(q).checked_sub(&xp_q).unwrap(),
-    };
-    let h = diff.mul_nat(p_inv_q).rem_nat(q).unwrap();
-    xp.add_nat(&p.mul_nat(&h))
+/// Chinese-remainder recombination under two fixed coprime moduli `p`
+/// and `q`. The coefficient `p⁻¹ mod q` is computed once, by
+/// [`Crt::new`], so repeated recombinations skip the inversion and can
+/// never be handed a wrong coefficient.
+#[derive(Clone)]
+pub struct Crt {
+    p: Nat,
+    q: Nat,
+    p_inv_q: Nat,
+}
+
+impl Crt {
+    /// The context for `p` and `q`; `None` when they share a factor.
+    pub fn new(p: Nat, q: Nat) -> Option<Self> {
+        let p_inv_q = invmod(&p, &q)?;
+        Some(Crt { p, q, p_inv_q })
+    }
+
+    /// The first modulus.
+    pub fn p(&self) -> &Nat {
+        &self.p
+    }
+
+    /// The second modulus.
+    pub fn q(&self) -> &Nat {
+        &self.q
+    }
+
+    /// The unique `x mod p·q` with `x ≡ xp (mod p)` and `x ≡ xq (mod q)`.
+    pub fn combine(&self, xp: &Nat, xq: &Nat) -> Nat {
+        let (p, q) = (&self.p, &self.q);
+        // x = xp + p * ((xq - xp) * p^-1 mod q).
+        let xp_q = xp.rem_nat(q).expect("q > 1 since p⁻¹ mod q exists");
+        let diff = match xq.checked_sub(&xp_q) {
+            Some(d) => d,
+            None => xq.add_nat(q).checked_sub(&xp_q).expect("xp mod q < q"),
+        };
+        let h = diff
+            .mul_nat(&self.p_inv_q)
+            .rem_nat(q)
+            .expect("q > 1 since p⁻¹ mod q exists");
+        xp.add_nat(&p.mul_nat(&h))
+    }
 }
 
 // Re-export egcd for tests without making it public API.
@@ -522,11 +543,11 @@ mod tests {
     fn crt_recombination() {
         let p = n(11);
         let q = n(13);
+        let crt = Crt::new(p, q).unwrap();
         for x in [0u64, 1, 17, 100, 142] {
-            let xp = n(x % 11);
-            let xq = n(x % 13);
-            let p_inv_q = invmod(&p, &q).unwrap();
-            assert_eq!(crt_pair(&xp, &p, &xq, &q, &p_inv_q), n(x % 143));
+            assert_eq!(crt.combine(&n(x % 11), &n(x % 13)), n(x % 143));
         }
+        // Moduli sharing a factor have no context.
+        assert!(Crt::new(n(6), n(9)).is_none());
     }
 }

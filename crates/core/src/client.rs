@@ -24,7 +24,7 @@ use sfs_crypto::rabin::{generate_keypair, RabinPrivateKey, RabinPublicKey};
 use sfs_crypto::sha1::DIGEST_LEN;
 use sfs_crypto::SfsPrg;
 use sfs_nfs3::proto::{
-    Fattr3, FileHandle, Nfs3Reply, Nfs3Request, PostOpAttr, Sattr3, StableHow, Status,
+    Fattr3, FileHandle, Nfs3Reply, Nfs3Request, PostOpAttr, Proc, Sattr3, StableHow, Status,
 };
 use sfs_proto::channel::{
     ChannelError, FrameSequencer, SecureChannelEnd, SeqPush, SuiteId, FRAME_HEADER_LEN,
@@ -37,13 +37,13 @@ use sfs_proto::pathname::{HostId, PathError, SelfCertifyingPath};
 use sfs_proto::userauth::{AuthInfo, AUTHNO_ANONYMOUS};
 use sfs_sim::ipc::{LocalEndpoint, LocalHandler, LocalIdentity};
 use sfs_sim::{
-    CpuCosts, FaultPlan, Interceptor, NetParams, PacketLog, ServerLoad, SimClock, SimTime, Wire,
-    WireError,
+    CpuCosts, ExchangeBufs, ExchangeReply, FaultPlan, Interceptor, NetParams, PacketLog,
+    ServerCost, ServerLoad, SimClock, SimTime, Wire, WireError,
 };
 use sfs_telemetry::sync::Mutex;
 use sfs_telemetry::Telemetry;
 use sfs_vfs::FileType;
-use sfs_xdr::{Xdr, XdrEncoder};
+use sfs_xdr::{Xdr, XdrDecoder, XdrEncoder, XdrError};
 
 use crate::agent::Agent;
 use crate::bufpool::BufPool;
@@ -421,6 +421,99 @@ struct Link {
     /// Bumped on every reconnect; lets concurrent callers detect that a
     /// renegotiation already happened.
     generation: u64,
+    /// The sealed-RPC engine's buffers, reused across exchanges.
+    scratch: ExchangeScratch,
+}
+
+/// Buffers of one [`SfsClient::exchange_once`], kept on the [`Link`] so
+/// a steady-state exchange allocates nothing for its own bookkeeping.
+#[derive(Default)]
+struct ExchangeScratch {
+    /// The wire's frame, reply and spent-buffer vectors.
+    bufs: ExchangeBufs,
+    /// Sealed envelopes of the exchange in progress, kept verbatim for
+    /// retransmission.
+    envs: Vec<Vec<u8>>,
+    /// Virtual send time per frame.
+    sent_at: Vec<SimTime>,
+    /// Whether each frame's reply has been opened.
+    done: Vec<bool>,
+}
+
+/// The plaintext calls of one sealed exchange.
+enum Calls<'a> {
+    /// One non-NFS call (mount, user authentication).
+    Inner(&'a InnerCall),
+    /// NFS3 calls under one authentication number.
+    Nfs {
+        authno: u32,
+        reqs: &'a [Nfs3Request],
+    },
+}
+
+impl Calls<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Calls::Inner(_) => 1,
+            Calls::Nfs { reqs, .. } => reqs.len(),
+        }
+    }
+
+    /// Appends call `i`'s [`InnerCall`] wire form to `buf`. NFS calls are
+    /// encoded straight into it, skipping the per-call argument `Vec`
+    /// that building `InnerCall::Nfs` first would allocate.
+    fn encode_into(&self, i: usize, buf: &mut Vec<u8>) {
+        let mut enc = XdrEncoder::from_vec(std::mem::take(buf));
+        match self {
+            Calls::Inner(call) => {
+                call.encode(&mut enc);
+                *buf = enc.into_bytes();
+            }
+            Calls::Nfs { authno, reqs } => {
+                let req = &reqs[i];
+                enc.put_u32(1); // InnerCall::Nfs discriminant
+                enc.put_u32(*authno);
+                enc.put_u32(req.proc() as u32);
+                // Opaque args field, length word patched after encoding
+                // in place. Marshaled NFS3 arguments are always 4-aligned,
+                // so the field needs no padding.
+                let len_pos = enc.bytes().len();
+                enc.put_u32(0);
+                let args_start = enc.bytes().len();
+                req.encode_args_into(&mut enc);
+                let args_len = (enc.bytes().len() - args_start) as u32;
+                *buf = enc.into_bytes();
+                buf[len_pos..len_pos + 4].copy_from_slice(&args_len.to_be_bytes());
+            }
+        }
+    }
+}
+
+/// Receives each call's opened reply plaintext, by call index.
+type OnReply<'a> = dyn FnMut(usize, &[u8]) -> Result<(), ClientError> + 'a;
+
+/// One decoded NFS3 reply and the invalidations piggybacked on it.
+type NfsSlot = Option<(Nfs3Reply, Vec<FileHandle>)>;
+
+/// Decodes an opened `InnerReply::Nfs` plaintext for `proc`, reading the
+/// results in place instead of copying them out of the frame first.
+fn decode_nfs_reply(proc: Proc, plain: &[u8]) -> Result<(Nfs3Reply, Vec<FileHandle>), ClientError> {
+    let proto = |e: XdrError| ClientError::Protocol(e.to_string());
+    let mut dec = XdrDecoder::new(plain);
+    if dec.get_u32().map_err(proto)? != 2 {
+        // Not InnerReply::Nfs: name what came back instead.
+        let other = InnerReply::from_xdr(plain).map_err(proto)?;
+        return Err(ClientError::Protocol(format!("bad NFS reply: {other:?}")));
+    }
+    let results = dec.get_opaque_ref().map_err(proto)?;
+    let n = dec.get_u32().map_err(proto)?;
+    let mut invalidations = Vec::new();
+    for _ in 0..n {
+        invalidations.push(FileHandle::decode(&mut dec).map_err(proto)?);
+    }
+    dec.finish().map_err(proto)?;
+    let reply = Nfs3Reply::decode_results(proc, results).map_err(proto)?;
+    Ok((reply, invalidations))
 }
 
 /// Client-held half of a session-resumption ticket: the server's opaque
@@ -592,8 +685,9 @@ pub struct SfsClient {
     referenced: Mutex<HashMap<u32, BTreeSet<String>>>,
     caching: AtomicBool,
     charge_crypto: AtomicBool,
-    /// How many sealed calls may be in flight at once on a mount's
-    /// channel. 1 degenerates to the blocking request/reply protocol.
+    /// How many sealed calls one exchange may put in flight on a mount's
+    /// channel. At 1 every call is a one-frame exchange, which is the
+    /// paper's blocking request/reply protocol on the wire.
     pipeline_window: AtomicUsize,
     attr_hits: AtomicU64,
     attr_misses: AtomicU64,
@@ -1176,15 +1270,6 @@ impl SfsClient {
         }
     }
 
-    fn charge_server_copy(&self, len: usize) {
-        if let Some(cpu) = &self.cpu {
-            self.tel
-                .lock()
-                .count("server", "cpu.server_copy_bytes", len as u64);
-            cpu.charge_server_copy(&self.clock, len);
-        }
-    }
-
     fn charge_crypto_cost(&self, suite: SuiteId, len: usize) {
         if let Some(cpu) = &self.cpu {
             if self.charge_crypto.load(Ordering::SeqCst) {
@@ -1332,6 +1417,7 @@ impl SfsClient {
             session_id: keys.session_id,
             server_key,
             generation,
+            scratch: ExchangeScratch::default(),
         })
     }
 
@@ -1403,6 +1489,7 @@ impl SfsClient {
             session_id: keys.session_id,
             server_key,
             generation,
+            scratch: ExchangeScratch::default(),
         })
     }
 
@@ -1552,64 +1639,38 @@ impl SfsClient {
         ReplyMsg::from_xdr(&reply_bytes).map_err(|e| ClientError::Protocol(e.to_string()))
     }
 
-    /// One sealed RPC over a mount's secure channel, surviving faults:
-    /// request-direction losses are retried by resending the identical
-    /// sealed frame (backoff-paced); anything that kills the session —
-    /// a desynchronised cipher stream, a poisoned channel, a restarted
-    /// server, an exhausted retransmission budget — triggers a full
-    /// reconnect with key renegotiation, after which the call is
-    /// re-sealed on the new channel and reissued.
+    /// One non-NFS sealed call (mount, user authentication): a one-frame
+    /// exchange through the sealed-RPC engine.
     fn sealed_call(&self, mount: &Mount, call: InnerCall) -> Result<InnerReply, ClientError> {
-        // The plaintext outlives any reconnect (it is re-sealed on the
-        // fresh channel), so it lives in its own pooled buffer rather
-        // than the envelope built per link.
-        let pool = mount.link.lock().pool.clone();
-        let mut plaintext = pool.get_guard();
-        call.encode_into(&mut plaintext);
-        self.sealed_exchange(mount, &plaintext)
+        let mut reply = None;
+        self.exchange(mount, &Calls::Inner(&call), &mut |_, plain| {
+            reply = Some(
+                InnerReply::from_xdr(plain).map_err(|e| ClientError::Protocol(e.to_string()))?,
+            );
+            Ok(())
+        })?;
+        Ok(reply.expect("the engine opens every reply before returning"))
     }
 
-    /// [`Self::sealed_call`] for the hot NFS path: the `InnerCall::Nfs`
-    /// wire form is encoded straight into the pooled plaintext buffer,
-    /// skipping the per-RPC argument `Vec` that building the enum first
-    /// would allocate.
-    fn sealed_call_nfs(
+    /// The sealed-RPC engine's retry driver, surviving faults: lost
+    /// frames are resent inside [`Self::exchange_once`]; anything that
+    /// kills the session — a desynchronised cipher stream, a poisoned
+    /// channel, a restarted server, an exhausted retransmission budget —
+    /// triggers a full reconnect with key renegotiation, after which
+    /// every call is re-sealed on the fresh channel (the old frames'
+    /// cipher positions belong to the dead session) and reissued.
+    fn exchange(
         &self,
         mount: &Mount,
-        authno: u32,
-        req: &Nfs3Request,
-    ) -> Result<InnerReply, ClientError> {
-        let pool = mount.link.lock().pool.clone();
-        let mut plaintext = pool.get_guard();
-        let buf: &mut Vec<u8> = &mut plaintext;
-        buf.clear();
-        let mut enc = XdrEncoder::from_vec(std::mem::take(buf));
-        enc.put_u32(1); // InnerCall::Nfs discriminant
-        enc.put_u32(authno);
-        enc.put_u32(req.proc() as u32);
-        // Opaque args field, length word patched after encoding in
-        // place. Marshaled NFS3 arguments are always 4-aligned, so the
-        // field needs no padding.
-        let len_pos = enc.bytes().len();
-        enc.put_u32(0);
-        let args_start = enc.bytes().len();
-        req.encode_args_into(&mut enc);
-        let args_len = enc.bytes().len() - args_start;
-        *buf = enc.into_bytes();
-        buf[len_pos..len_pos + 4].copy_from_slice(&(args_len as u32).to_be_bytes());
-        self.sealed_exchange(mount, &plaintext)
-    }
-
-    /// The reconnect-surviving exchange loop shared by the sealed-call
-    /// entry points: the pre-encoded plaintext is re-sealed on whatever
-    /// channel is current each round.
-    fn sealed_exchange(&self, mount: &Mount, plaintext: &[u8]) -> Result<InnerReply, ClientError> {
+        calls: &Calls<'_>,
+        on_reply: &mut OnReply<'_>,
+    ) -> Result<(), ClientError> {
         let max = self.retry_policy().max_reconnects;
         let mut round = 0;
         loop {
             let generation = mount.generation();
-            match self.sealed_call_once(mount, plaintext) {
-                Ok(inner) => return Ok(inner),
+            match self.exchange_once(mount, calls, on_reply) {
+                Ok(()) => return Ok(()),
                 Err(e) if Self::session_dead(&e) => {
                     if round >= max {
                         return Err(e);
@@ -1623,122 +1684,26 @@ impl SfsClient {
         }
     }
 
-    /// One sealed round trip on the mount's *current* link. Holds the
-    /// link for the whole exchange (the stream ciphers serialize sealed
-    /// traffic anyway) and releases it before any reconnect, so the
-    /// retry driver can replace the link without deadlocking.
-    fn sealed_call_once(&self, mount: &Mount, plaintext: &[u8]) -> Result<InnerReply, ClientError> {
-        let _span = self.tel().span("client", "core.client", "sealed_call");
-        // Cost model: one user-level crossing into sfscd, a data copy
-        // through the daemon, crypto over the outgoing bytes.
-        self.charge_crossing();
-        self.charge_rpc();
-        self.charge_user_copy(plaintext.len());
-        let mut guard = mount.link.lock();
-        let link = &mut *guard;
-        self.charge_crypto_cost(link.channel.suite(), plaintext.len());
-        let pool = link.pool.clone();
-        // Build the sealed wire envelope in place in one pooled buffer:
-        // byte-identical to `CallMsg::Sealed(channel.seal(..)).to_xdr()`
-        // without the intermediate frame and envelope allocations.
-        let mut env = pool.get_guard();
-        sealed_env_begin(&mut env);
-        env.extend_from_slice(plaintext);
-        link.channel.seal_into(&mut env, SEALED_ENV_FRAME_START)?;
-        sealed_env_finish(&mut env);
-        // Retransmission loop: the frame was sealed once; every resend
-        // puts the same bytes on the wire, so a request that was lost
-        // in flight still decrypts at the server's cipher position.
-        // Each attempt copies the envelope into a pooled buffer that the
-        // wire consumes and the server-side closure recycles.
-        let policy = self.retry_policy();
-        let mut attempt = 0;
-        let mut reply_bytes = loop {
-            let mut msg = pool.get();
-            msg.extend_from_slice(&env);
-            let sent = link.wire.call(msg, |b| {
-                // Server side: one crossing into sfssd, the data copy
-                // through it, plus the NFS loopback hop.
-                self.charge_crossing();
-                self.charge_rpc();
-                self.charge_server_copy(b.len());
-                let reply = link.conn.handle_bytes(&b);
-                pool.put(b);
-                reply
-            });
-            match sent {
-                Ok(b) => break b,
-                Err(WireError::Timeout) => {
-                    if attempt >= policy.max_retransmits {
-                        return Err(ClientError::Net(WireError::Timeout));
-                    }
-                    let tel = self.tel();
-                    tel.count("client", "retry.retransmits", 1);
-                    tel.instant("client", "core.client", "retransmit");
-                    self.backoff(attempt);
-                    attempt += 1;
-                }
-            }
-        };
-        // Well-formed sealed replies — the steady state — open in place
-        // inside the reply buffer, which then goes back to the pool.
-        // Anything else falls through to the general decoder below so
-        // error classification is unchanged.
-        if let Some(frame) = sealed_envelope_frame(&reply_bytes) {
-            self.charge_user_copy(frame.len());
-            self.charge_crypto_cost(link.channel.suite(), frame.len());
-            let plain = link.channel.open_in_place(&mut reply_bytes[frame])?;
-            let inner =
-                InnerReply::from_xdr(plain).map_err(|e| ClientError::Protocol(e.to_string()))?;
-            drop(guard);
-            pool.put(reply_bytes);
-            self.apply_invalidations(mount, &inner);
-            return Ok(inner);
-        }
-        // An unparseable envelope means the reply was mangled in flight
-        // before the MAC could vouch for anything; classified as a
-        // session death so the retry driver renegotiates.
-        let reply = ReplyMsg::from_xdr(&reply_bytes)
-            .map_err(|e| ClientError::Protocol(format!("reply framing corrupted: {e}")))?;
-        let ReplyMsg::Sealed(sealed) = reply else {
-            return match reply {
-                ReplyMsg::Error(e) => Err(ClientError::Protocol(e)),
-                other => Err(ClientError::Protocol(format!(
-                    "unexpected reply: {other:?}"
-                ))),
-            };
-        };
-        self.charge_user_copy(sealed.len());
-        self.charge_crypto_cost(link.channel.suite(), sealed.len());
-        let plain = link.channel.open(&sealed)?;
-        drop(guard);
-        let inner =
-            InnerReply::from_xdr(&plain).map_err(|e| ClientError::Protocol(e.to_string()))?;
-        self.apply_invalidations(mount, &inner);
-        Ok(inner)
-    }
-
     /// Applies a reply's piggybacked invalidation callbacks to the
     /// mount's caches.
-    fn apply_invalidations(&self, mount: &Mount, inner: &InnerReply) {
-        if let InnerReply::Nfs { invalidations, .. } = inner {
-            if !invalidations.is_empty() && !self.ignore_invalidations.load(Ordering::SeqCst) {
-                self.tel
-                    .lock()
-                    .count("client", "cache.invalidations", invalidations.len() as u64);
-                let mut cache = mount.attr_cache.lock();
-                for fh in invalidations {
-                    cache.remove(&fh.0);
-                }
-                let mut access = mount.access_cache.lock();
-                access.retain(|(fh, _, _), _| !invalidations.iter().any(|i| &i.0 == fh));
-                // Read-ahead data for an invalidated file was speculated
-                // under a lease another client just broke.
-                let mut streams = mount.streams.lock();
-                for fh in invalidations {
-                    streams.remove(&fh.0);
-                }
-            }
+    fn apply_invalidations(&self, mount: &Mount, invalidations: &[FileHandle]) {
+        if invalidations.is_empty() || self.ignore_invalidations.load(Ordering::SeqCst) {
+            return;
+        }
+        self.tel
+            .lock()
+            .count("client", "cache.invalidations", invalidations.len() as u64);
+        let mut cache = mount.attr_cache.lock();
+        for fh in invalidations {
+            cache.remove(&fh.0);
+        }
+        let mut access = mount.access_cache.lock();
+        access.retain(|(fh, _, _), _| !invalidations.iter().any(|i| &i.0 == fh));
+        // Read-ahead data for an invalidated file was speculated under a
+        // lease another client just broke.
+        let mut streams = mount.streams.lock();
+        for fh in invalidations {
+            streams.remove(&fh.0);
         }
     }
 
@@ -1817,43 +1782,28 @@ impl SfsClient {
     }
 
     /// [`Self::call_nfs`] without the write-behind barrier (the flush
-    /// path itself must not recurse into the barrier).
+    /// path itself must not recurse into the barrier): a one-frame
+    /// exchange.
     fn call_nfs_unqueued(
         &self,
         mount: &Mount,
         uid: u32,
         req: &Nfs3Request,
     ) -> Result<Nfs3Reply, ClientError> {
-        let proc = req.proc();
-        let reissue_cap = self.retry_policy().max_reconnects;
-        let mut rounds = 0;
-        loop {
-            let authno = self.ensure_auth(mount, uid)?;
-            let generation = mount.generation();
-            let reply = self.sealed_call_nfs(mount, authno, req)?;
-            if mount.generation() != generation && rounds < reissue_cap {
-                // Reconnected while this call was in flight: the server
-                // executed it (if at all) with stale credentials.
-                rounds += 1;
-                continue;
-            }
-            return match reply {
-                InnerReply::Nfs { results, .. } => {
-                    let reply = Nfs3Reply::decode_results(proc, &results)
-                        .map_err(|e| ClientError::Protocol(e.to_string()))?;
-                    self.harvest_attrs(mount, req, &reply);
-                    Ok(reply)
-                }
-                other => Err(ClientError::Protocol(format!("bad NFS reply: {other:?}"))),
-            };
-        }
+        let mut slot = [None];
+        self.nfs_exchange(mount, uid, std::slice::from_ref(req), &mut slot)?;
+        let [Some((reply, _))] = slot else {
+            unreachable!("the engine opens every reply before returning")
+        };
+        Ok(reply)
     }
 
     /// Issues a batch of NFS3 calls for `uid` with up to
     /// [`Self::pipeline_window`] sealed frames in flight at once,
     /// returning the replies in request order. Queued write-behind data
-    /// is flushed first. With window 1 this degenerates to the blocking
-    /// request/reply protocol, call for call.
+    /// is flushed first. With window 1 every call is a one-frame
+    /// exchange: the paper's blocking request/reply protocol, call for
+    /// call.
     pub fn call_nfs_window(
         &self,
         mount: &Mount,
@@ -1872,99 +1822,59 @@ impl SfsClient {
         uid: u32,
         reqs: &[Nfs3Request],
     ) -> Result<Vec<Nfs3Reply>, ClientError> {
-        let window = self.pipeline_window();
-        if window <= 1 || reqs.len() <= 1 {
-            return reqs
-                .iter()
-                .map(|req| self.call_nfs_unqueued(mount, uid, req))
-                .collect();
+        let mut slots: Vec<NfsSlot> = reqs.iter().map(|_| None).collect();
+        let window = self.pipeline_window().max(1);
+        for (chunk, out) in reqs.chunks(window).zip(slots.chunks_mut(window)) {
+            self.nfs_exchange(mount, uid, chunk, out)?;
         }
-        let mut out = Vec::with_capacity(reqs.len());
-        for chunk in reqs.chunks(window) {
-            out.extend(self.window_call_batch(mount, uid, chunk)?);
-        }
-        Ok(out)
+        Ok(slots
+            .into_iter()
+            .map(|s| s.expect("the engine opens every reply before returning").0)
+            .collect())
     }
 
-    /// One window-sized batch: authenticate, seal, exchange, decode.
-    /// Mirrors [`Self::call_nfs_unqueued`]'s reissue rule — a session
-    /// renegotiated mid-batch invalidates the credentials every frame
-    /// was sealed with, so the whole batch is reissued.
-    fn window_call_batch(
+    /// One exchange of NFS3 calls for `uid`: authenticate, seal, exchange,
+    /// decode into `out` (one slot per request), harvest leased
+    /// attributes. If the session is renegotiated mid-exchange, the
+    /// authentication number every frame carried belonged to the dead
+    /// session (the server executed the calls, if at all, with stale
+    /// credentials) — re-authenticate on the new one and reissue them
+    /// all.
+    fn nfs_exchange(
         &self,
         mount: &Mount,
         uid: u32,
         reqs: &[Nfs3Request],
-    ) -> Result<Vec<Nfs3Reply>, ClientError> {
+        out: &mut [NfsSlot],
+    ) -> Result<(), ClientError> {
         let reissue_cap = self.retry_policy().max_reconnects;
         let mut rounds = 0;
         loop {
             let authno = self.ensure_auth(mount, uid)?;
             let generation = mount.generation();
-            let calls: Vec<InnerCall> = reqs
-                .iter()
-                .map(|req| InnerCall::Nfs {
-                    authno,
-                    proc: req.proc() as u32,
-                    args: req.encode_args(),
-                })
-                .collect();
-            let inners = self.window_sealed_batch(mount, &calls)?;
+            self.exchange(mount, &Calls::Nfs { authno, reqs }, &mut |i, plain| {
+                out[i] = Some(decode_nfs_reply(reqs[i].proc(), plain)?);
+                Ok(())
+            })?;
+            for (_, invalidations) in out.iter().flatten() {
+                self.apply_invalidations(mount, invalidations);
+            }
             if mount.generation() != generation && rounds < reissue_cap {
                 rounds += 1;
                 continue;
             }
-            let mut out = Vec::with_capacity(reqs.len());
-            for (req, inner) in reqs.iter().zip(inners) {
-                match inner {
-                    InnerReply::Nfs { results, .. } => {
-                        let reply = Nfs3Reply::decode_results(req.proc(), &results)
-                            .map_err(|e| ClientError::Protocol(e.to_string()))?;
-                        self.harvest_attrs(mount, req, &reply);
-                        out.push(reply);
-                    }
-                    other => {
-                        return Err(ClientError::Protocol(format!("bad NFS reply: {other:?}")))
-                    }
-                }
+            for (req, (reply, _)) in reqs.iter().zip(out.iter().flatten()) {
+                self.harvest_attrs(mount, req, reply);
             }
-            return Ok(out);
-        }
-    }
-
-    /// Retry driver for one windowed exchange: session deaths trigger a
-    /// reconnect, after which every call is re-sealed on the fresh
-    /// channel (the old frames are useless — their cipher positions
-    /// belong to the dead session).
-    fn window_sealed_batch(
-        &self,
-        mount: &Mount,
-        calls: &[InnerCall],
-    ) -> Result<Vec<InnerReply>, ClientError> {
-        let max = self.retry_policy().max_reconnects;
-        let mut round = 0;
-        loop {
-            let generation = mount.generation();
-            match self.window_exchange_once(mount, calls) {
-                Ok(inners) => return Ok(inners),
-                Err(e) if Self::session_dead(&e) => {
-                    if round >= max {
-                        return Err(e);
-                    }
-                    self.backoff(round);
-                    self.reconnect(mount, generation)?;
-                    round += 1;
-                }
-                Err(e) => return Err(e),
-            }
+            return Ok(());
         }
     }
 
     /// Analytic server-side cost of servicing one frame: the crossing
     /// into sfssd, RPC processing, and the copy through the daemon.
     /// Windowed exchanges fold this into the frame's service time on the
-    /// wire's timeline instead of charging the shared clock, so sealing
-    /// later frames genuinely overlaps the server working earlier ones.
+    /// wire's timeline, so sealing later frames genuinely overlaps the
+    /// server working earlier ones.
     fn server_frame_cost_ns(&self, len: usize) -> u64 {
         let Some(cpu) = &self.cpu else { return 0 };
         let tel = self.tel.lock();
@@ -1993,179 +1903,241 @@ impl SfsClient {
         ns
     }
 
-    /// One windowed exchange on the mount's current link: seals every
-    /// call as a sequenced frame, puts them all in flight, and matches
-    /// replies back by xid. Lost frames are retransmitted byte-for-byte
-    /// (the server replays already-serviced ones from its reply cache),
-    /// so both cipher streams stay aligned no matter how the network
-    /// reorders, duplicates, or drops frames.
-    fn window_exchange_once(
+    /// One sealed exchange on the mount's *current* link — the engine
+    /// every sealed RPC takes. Seals every call, puts them all in flight,
+    /// and hands each reply's opened plaintext to `on_reply` with its
+    /// call's index. Holds the link for the whole exchange (the stream
+    /// ciphers serialize sealed traffic anyway) and releases it before
+    /// any reconnect, so the retry driver can replace the link.
+    ///
+    /// The framing follows from the batch size. A single call travels in
+    /// the paper's unsequenced envelope with its blocking semantics: the
+    /// server services it on the shared clock the moment it arrives and
+    /// caches nothing, and an error or mangled reply is a session death.
+    /// A window of calls travels in sequenced envelopes: replies are
+    /// matched by xid and opened in channel order, whatever order the
+    /// network delivers them in, and the server answers a retransmission
+    /// from its reply cache. Either way a lost frame is resent byte for
+    /// byte, so both cipher streams stay aligned.
+    fn exchange_once(
         &self,
         mount: &Mount,
-        calls: &[InnerCall],
-    ) -> Result<Vec<InnerReply>, ClientError> {
+        calls: &Calls<'_>,
+        on_reply: &mut OnReply<'_>,
+    ) -> Result<(), ClientError> {
+        let n = calls.len();
+        let windowed = n > 1;
         let tel = self.tel();
-        let _span = tel
-            .span("client", "core.client", "window_exchange")
-            .with_attr("frames", calls.len() as u64);
+        let _span = if windowed {
+            tel.span("client", "core.client", "window_exchange")
+                .with_attr("frames", n as u64)
+        } else {
+            tel.span("client", "core.client", "sealed_call")
+        };
         // One kernel→daemon crossing hands sfscd the whole queued window
-        // (§4.2): the fixed crossing cost is paid once per window, not
+        // (§4.2): the fixed crossing cost is paid once per exchange, not
         // per request.
         self.charge_crossing();
         let mut guard = mount.link.lock();
-        let link = &mut *guard;
-        let pool = link.pool.clone();
-        // Seal every frame up front, tagged with its xid and the channel
-        // seqno it was sealed at, stamping each frame's virtual send
+        let Link {
+            wire,
+            conn,
+            channel,
+            pool,
+            scratch,
+            ..
+        } = &mut *guard;
+        let ExchangeScratch {
+            bufs,
+            envs,
+            sent_at,
+            done,
+        } = scratch;
+        // An exchange cut short by an error leaves its scratch behind.
+        envs.clear();
+        sent_at.clear();
+        done.clear();
+        done.resize(n, false);
+        bufs.frames.clear();
+        bufs.spent.clear();
+        // Seal every frame up front, stamping each frame's virtual send
         // time as sealing completes. The sealed bytes are kept verbatim
         // for retransmission.
-        let mut envs: Vec<Vec<u8>> = Vec::with_capacity(calls.len());
-        let mut sent_at: Vec<SimTime> = Vec::with_capacity(calls.len());
-        for (xid, call) in calls.iter().enumerate() {
-            let chanseq = link.channel.messages_sent();
+        for i in 0..n {
             let mut env = pool.get();
-            seq_env_begin(&mut env, true, chanseq, xid as u32);
-            let mut enc = XdrEncoder::from_vec(std::mem::take(&mut env));
-            call.encode(&mut enc);
-            env = enc.into_bytes();
-            let plain_len = env.len() - SEALED_SEQ_ENV_FRAME_START - FRAME_HEADER_LEN;
+            let frame_start = if windowed {
+                seq_env_begin(&mut env, true, channel.messages_sent(), i as u32);
+                SEALED_SEQ_ENV_FRAME_START
+            } else {
+                sealed_env_begin(&mut env);
+                SEALED_ENV_FRAME_START
+            };
+            calls.encode_into(i, &mut env);
+            let plain_len = env.len() - frame_start - FRAME_HEADER_LEN;
             self.charge_rpc();
             self.charge_user_copy(plain_len);
-            self.charge_crypto_cost(link.channel.suite(), plain_len);
-            link.channel
-                .seal_into(&mut env, SEALED_SEQ_ENV_FRAME_START)?;
-            seq_env_finish(&mut env);
+            self.charge_crypto_cost(channel.suite(), plain_len);
+            channel.seal_into(&mut env, frame_start)?;
+            if windowed {
+                seq_env_finish(&mut env);
+            } else {
+                sealed_env_finish(&mut env);
+            }
             envs.push(env);
             sent_at.push(self.clock.now());
         }
         let policy = self.retry_policy();
-        let mut results: Vec<Option<InnerReply>> = calls.iter().map(|_| None).collect();
-        // Replies can arrive in any order; the stream cipher only opens
-        // them in the order the server sealed them, so out-of-order
+        // Replies can arrive in any order; the channel only opens them in
+        // the order the server sealed them, so a window's out-of-order
         // arrivals park here until the gap fills.
         let mut reorder = FrameSequencer::new(REORDER_BUF_CAPACITY);
-        // Arrival time per buffered reply chanseq, feeding the analytic
-        // CPU timeline below.
-        let mut arrivals: BTreeMap<u64, u64> = BTreeMap::new();
+        // Arrival time per parked reply chanseq, feeding the CPU
+        // timeline below.
+        let mut parked_at: BTreeMap<u64, u64> = BTreeMap::new();
         // When the client CPU finishes opening the replies processed so
         // far: each open starts at max(its reply's arrival, cpu_free),
         // so decryption overlaps replies still on the wire instead of
         // stacking after the last arrival.
         let mut cpu_free: u64 = 0;
+        let mut opened = 0;
         let mut attempt = 0;
         loop {
-            let outstanding: Vec<usize> =
-                (0..envs.len()).filter(|&i| results[i].is_none()).collect();
-            if outstanding.is_empty() {
+            for (i, env) in envs.iter().enumerate() {
+                if !done[i] {
+                    let mut msg = pool.get();
+                    msg.extend_from_slice(env);
+                    bufs.frames.push((sent_at[i], msg));
+                }
+            }
+            if windowed {
+                tel.gauge_set("client", "pipeline.inflight_hwm", (n - opened) as u64);
+            }
+            wire.exchange_on(bufs, |arrival_ns, b, out| {
+                let cost_ns = self.server_frame_cost_ns(b.len());
+                if windowed {
+                    // Charged on the frame's service timeline: the classic
+                    // serial discipline or, when the server has a
+                    // multi-core `ShardEngine`, scheduled across its
+                    // simulated cores and disk shards.
+                    return conn.handle_frames_on(arrival_ns, cost_ns, b, out);
+                }
+                // Blocking discipline: the server takes the frame on the
+                // shared clock the moment it arrives.
+                self.clock.advance_to(SimTime(arrival_ns));
+                self.clock.advance_ns(cost_ns);
+                conn.handle_frames(b, out);
+                ServerCost::Scheduled(self.clock.now().as_nanos())
+            });
+            for b in bufs.spent.drain(..) {
+                pool.put(b);
+            }
+            for ExchangeReply { mut bytes, arrival } in bufs.replies.drain(..) {
+                let (xid, frame) = if windowed {
+                    let Some((chanseq, xid, frame)) = seq_reply_envelope(&bytes) else {
+                        // An unsequenced reply mid-window: a server Error
+                        // is the session refusing our state — honour it
+                        // and let the caller reconnect. Anything else is a
+                        // stray the wire held over from an earlier phase
+                        // (or mangled noise); it never touches the cipher,
+                        // so drop it and let retransmission cover any
+                        // real loss.
+                        if let Ok(ReplyMsg::Error(e)) = ReplyMsg::from_xdr(&bytes) {
+                            return Err(ClientError::Protocol(e));
+                        }
+                        tel.count("client", "pipeline.stale_frames", 1);
+                        pool.put(bytes);
+                        continue;
+                    };
+                    if xid as usize >= n {
+                        // Sequenced, but not one of ours: a frame from an
+                        // earlier window or a dead session replayed by the
+                        // wire. Feeding it to the stream cipher would burn
+                        // keystream and poison the channel, so discard it
+                        // here on the cleartext header alone.
+                        tel.count("client", "pipeline.stale_frames", 1);
+                        pool.put(bytes);
+                        continue;
+                    }
+                    let expected = channel.messages_received();
+                    if chanseq != expected {
+                        match reorder.push(chanseq, xid, bytes[frame].to_vec(), expected) {
+                            // A replayed reply we already opened (its
+                            // retransmit raced the original): the cipher
+                            // consumed it once.
+                            SeqPush::Duplicate => {}
+                            SeqPush::Overflow => {
+                                return Err(ClientError::Protocol(
+                                    "channel failure: reply reorder buffer overflow".into(),
+                                ))
+                            }
+                            SeqPush::Buffered => {
+                                parked_at.insert(chanseq, arrival.as_nanos());
+                            }
+                        }
+                        pool.put(bytes);
+                        continue;
+                    }
+                    (xid as usize, frame)
+                } else {
+                    if done[0] {
+                        // A second copy (the wire duplicated the request
+                        // or the reply): the first one already answered.
+                        pool.put(bytes);
+                        continue;
+                    }
+                    let Some(frame) = sealed_envelope_frame(&bytes) else {
+                        // An unparseable envelope means the reply was
+                        // mangled in flight before the MAC could vouch for
+                        // anything; classified as a session death so the
+                        // retry driver renegotiates.
+                        let reply = ReplyMsg::from_xdr(&bytes).map_err(|e| {
+                            ClientError::Protocol(format!("reply framing corrupted: {e}"))
+                        })?;
+                        return Err(ClientError::Protocol(match reply {
+                            ReplyMsg::Error(e) => e,
+                            other => format!("unexpected reply: {other:?}"),
+                        }));
+                    };
+                    (0, frame)
+                };
+                // In channel order: opened in place in the reply buffer.
+                cpu_free = cpu_free.max(arrival.as_nanos())
+                    + self.client_open_cost_ns(channel.suite(), frame.len());
+                on_reply(xid, channel.open_in_place(&mut bytes[frame])?)?;
+                opened += usize::from(!std::mem::replace(&mut done[xid], true));
+                pool.put(bytes);
+                // Open every parked frame that is now in channel order.
+                while let Some((xid, mut frame)) = reorder.take(channel.messages_received()) {
+                    let at = parked_at.remove(&channel.messages_received()).unwrap_or(0);
+                    cpu_free =
+                        cpu_free.max(at) + self.client_open_cost_ns(channel.suite(), frame.len());
+                    on_reply(xid as usize, channel.open_in_place(&mut frame)?)?;
+                    opened += usize::from(!std::mem::replace(&mut done[xid as usize], true));
+                }
+            }
+            if opened == n {
                 break;
             }
-            tel.gauge_set("client", "pipeline.inflight_hwm", outstanding.len() as u64);
-            let sends: Vec<(SimTime, Vec<u8>)> = outstanding
-                .iter()
-                .map(|&i| {
-                    let mut msg = pool.get();
-                    msg.extend_from_slice(&envs[i]);
-                    (sent_at[i], msg)
-                })
-                .collect();
-            // Each frame's server cost is either the classic serial
-            // discipline or, when the server has a multi-core
-            // `ShardEngine` installed, an absolute completion instant
-            // scheduled across its simulated cores and disk shards.
-            let replies = link.wire.exchange_on(sends, |arrival_ns, b| {
-                let extra_ns = self.server_frame_cost_ns(b.len());
-                link.conn.handle_frames_on(arrival_ns, extra_ns, b)
-            });
-            for reply in replies {
-                let bytes = reply.bytes;
-                let Some((chanseq, xid, frame)) = seq_reply_envelope(&bytes) else {
-                    // An unsequenced reply mid-window: a server Error is
-                    // the session refusing our state — honour it and let
-                    // the caller reconnect. Anything else is a stray the
-                    // wire held over from an earlier phase (or mangled
-                    // noise); it never touches the cipher, so drop it and
-                    // let retransmission cover any real loss.
-                    if let Ok(ReplyMsg::Error(e)) = ReplyMsg::from_xdr(&bytes) {
-                        return Err(ClientError::Protocol(e));
-                    }
-                    tel.count("client", "pipeline.stale_frames", 1);
-                    pool.put(bytes);
-                    continue;
-                };
-                if xid as usize >= results.len() {
-                    // Sequenced, but not one of ours: a frame from an
-                    // earlier window or a dead session replayed by the
-                    // wire. Feeding it to the stream cipher would burn
-                    // keystream and poison the channel, so discard it
-                    // here on the cleartext header alone.
-                    tel.count("client", "pipeline.stale_frames", 1);
-                    pool.put(bytes);
-                    continue;
-                }
-                let expected = link.channel.messages_received();
-                match reorder.push(chanseq, xid, bytes[frame].to_vec(), expected) {
-                    // A replayed reply we already opened (its retransmit
-                    // raced the original): the cipher consumed it once.
-                    SeqPush::Duplicate => {}
-                    SeqPush::Overflow => {
-                        return Err(ClientError::Protocol(
-                            "channel failure: reply reorder buffer overflow".into(),
-                        ))
-                    }
-                    SeqPush::Buffered => {
-                        arrivals.insert(chanseq, reply.arrival.as_nanos());
-                    }
-                }
-                pool.put(bytes);
-                // Open every frame that is now in cipher order.
-                loop {
-                    let pos = link.channel.messages_received();
-                    let Some((xid, mut frame)) = reorder.take(pos) else {
-                        break;
-                    };
-                    let arrival = arrivals.remove(&pos).unwrap_or(0);
-                    cpu_free = cpu_free.max(arrival)
-                        + self.client_open_cost_ns(link.channel.suite(), frame.len());
-                    let plain = link.channel.open_in_place(&mut frame)?;
-                    let inner = InnerReply::from_xdr(plain)
-                        .map_err(|e| ClientError::Protocol(e.to_string()))?;
-                    let slot = results.get_mut(xid as usize).ok_or_else(|| {
-                        ClientError::Protocol(format!("unexpected reply: unknown xid {xid}"))
-                    })?;
-                    *slot = Some(inner);
-                }
+            if attempt >= policy.max_retransmits {
+                return Err(ClientError::Net(WireError::Timeout));
             }
-            if results.iter().any(|r| r.is_none()) {
-                if attempt >= policy.max_retransmits {
-                    return Err(ClientError::Net(WireError::Timeout));
-                }
-                // Same pacing as the blocking path: wait out the
-                // timeout, then back off before the identical frames go
-                // back on the wire. Retransmission charges no CPU — the
-                // frames were already built and sealed.
-                link.wire.timeout_wait();
-                tel.count("client", "retry.retransmits", 1);
-                tel.instant("client", "core.client", "retransmit");
-                self.backoff(attempt);
-                attempt += 1;
-                sent_at.fill(self.clock.now());
-            }
+            // Wait out the timeout, then back off before the identical
+            // frames go back on the wire. Retransmission charges no CPU —
+            // the frames were already built and sealed.
+            wire.timeout_wait();
+            tel.count("client", "retry.retransmits", 1);
+            tel.instant("client", "core.client", "retransmit");
+            self.backoff(attempt);
+            attempt += 1;
+            sent_at.fill(self.clock.now());
         }
         // Land the clock on the moment the client CPU finished opening
         // the final reply (a no-op if the timeline already passed it).
         self.clock.advance_to(SimTime(cpu_free));
-        drop(guard);
-        for env in envs {
+        for env in envs.drain(..) {
             pool.put(env);
         }
-        let inners: Vec<InnerReply> = results
-            .into_iter()
-            .map(|r| r.expect("loop exits only when every slot is filled"))
-            .collect();
-        for inner in &inners {
-            self.apply_invalidations(mount, inner);
-        }
-        Ok(inners)
+        Ok(())
     }
 
     /// Reads up to `count` bytes of `fh` at `offset`, returning

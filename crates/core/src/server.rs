@@ -40,7 +40,7 @@ use sfs_sim::{FaultPlan, ServerCost, ServerLoad};
 use sfs_telemetry::sync::Mutex;
 use sfs_telemetry::Telemetry;
 use sfs_vfs::{Credentials, Vfs};
-use sfs_xdr::{Xdr, XdrDecoder, XdrEncoder};
+use sfs_xdr::{Xdr, XdrDecoder, XdrEncoder, XdrError};
 
 use crate::authserver::AuthServer;
 use crate::bufpool::BufPool;
@@ -734,15 +734,11 @@ impl ServerConn {
         &self.pool
     }
 
-    /// Processes one wire message (the raw-bytes entry point used by the
-    /// simulated network).
+    /// Processes one wire message that has exactly one reply: the
+    /// cleartext stages (key negotiation, SRP, read-only dialect) and the
+    /// paper's unsequenced sealed frame. The [`sfs_sim::Wire::call`]
+    /// entry point.
     pub fn handle_bytes(&self, bytes: &[u8]) -> Vec<u8> {
-        // Sealed frames — every steady-state NFS3 RPC — take the pooled,
-        // in-place path. Anything else (key negotiation, SRP, read-only,
-        // malformed input) is rare and goes through the general decoder.
-        if let Some(frame) = sealed_envelope_frame(bytes) {
-            return self.handle_sealed_bytes(&bytes[frame]);
-        }
         let reply = match CallMsg::from_xdr(bytes) {
             Ok(msg) => self.handle(msg),
             Err(e) => ReplyMsg::Error(format!("unparseable message: {e}")),
@@ -750,44 +746,135 @@ impl ServerConn {
         reply.to_xdr()
     }
 
-    /// The zero-copy service path for one sealed frame: open in place in
-    /// a pooled buffer, dispatch, and build the sealed reply envelope in
-    /// a single pooled buffer. Behaviour (keystream consumption, error
-    /// strings, telemetry) is identical to routing the frame through
-    /// [`Self::handle`]; only the allocations differ.
-    fn handle_sealed_bytes(&self, frame: &[u8]) -> Vec<u8> {
+    /// Every sealed frame, of either envelope kind, enters here: the
+    /// session checks, then — for a sequenced frame — channel-order
+    /// admission, then [`Self::serve_frame`]. Replies are appended to
+    /// `out`: exactly one for an unsequenced frame; for a sequenced one
+    /// zero (buffered ahead of a reorder gap), one, or several (a frame
+    /// that fills a gap releases every buffered successor at once).
+    ///
+    /// Sequenced frames are decrypted strictly in channel-sequence order
+    /// regardless of arrival order: early frames buffer, retransmissions
+    /// of already-consumed frames are answered from the reply cache
+    /// byte-for-byte (neither cipher advances), and anything past the
+    /// reorder window kills the session.
+    fn handle_sealed(&self, seq: Option<(u64, u32)>, frame: &[u8], out: &mut Vec<Vec<u8>>) {
         let tel = self.server.tel.lock().clone();
-        let _span = tel.span("server", "core.server", "sealed");
+        let name = if seq.is_some() {
+            "sealed_seq"
+        } else {
+            "sealed"
+        };
+        let _span = tel.span("server", "core.server", name);
         tel.count("server", "dispatch.calls", 1);
         if self.server.current_epoch() != self.epoch {
             tel.count("server", "stale_conns.rejected", 1);
-            return ReplyMsg::Error("connection reset: server restarted".into()).to_xdr();
+            out.push(ReplyMsg::Error("connection reset: server restarted".into()).to_xdr());
+            return;
         }
         let mut state = self.state.lock();
         let ConnState::Established(est) = &mut *state else {
-            return ReplyMsg::Error("no secure channel".into()).to_xdr();
+            out.push(ReplyMsg::Error("no secure channel".into()).to_xdr());
+            return;
         };
+        let Some((chanseq, xid)) = seq else {
+            out.push(self.serve_frame(est, &tel, None, frame));
+            return;
+        };
+        let expected = est.channel.messages_received();
+        if chanseq == expected {
+            // In order: served straight from the wire buffer.
+            out.push(self.serve_frame(est, &tel, Some(xid), frame));
+        } else {
+            match est.seq_buf.push(chanseq, xid, frame.to_vec(), expected) {
+                // Double delivery of a still-buffered frame; the copy
+                // already queued answers once the gap fills.
+                SeqPush::Duplicate if chanseq >= expected => return,
+                SeqPush::Duplicate => {
+                    tel.count("server", "pipeline.retransmits", 1);
+                    out.push(match est.reply_cache.get(chanseq) {
+                        Some(cached) => cached.clone(),
+                        None => {
+                            ReplyMsg::Error("channel failure: replay beyond cache".into()).to_xdr()
+                        }
+                    });
+                    return;
+                }
+                SeqPush::Overflow => {
+                    out.push(
+                        ReplyMsg::Error("channel failure: pipeline window overflow".into())
+                            .to_xdr(),
+                    );
+                    return;
+                }
+                SeqPush::Buffered => {}
+            }
+        }
+        while let Some((xid, frame)) = est.seq_buf.take(est.channel.messages_received()) {
+            out.push(self.serve_frame(est, &tel, Some(xid), &frame));
+        }
+        tel.gauge_set("server", "pipeline.queue_depth", est.seq_buf.len() as u64);
+    }
+
+    /// The one service path for a sealed frame: opens it in a pooled
+    /// buffer, dispatches, and seals the reply in a single pooled buffer
+    /// — in the paper's unsequenced envelope, or, for a sequenced frame
+    /// (`xid` set), in a sequenced envelope that is also cached under
+    /// the request's channel sequence number for byte-identical
+    /// retransmission.
+    fn serve_frame(
+        &self,
+        est: &mut Established,
+        tel: &Telemetry,
+        xid: Option<u32>,
+        frame: &[u8],
+    ) -> Vec<u8> {
+        let req_seq = est.channel.messages_received();
         let mut fbuf = self.pool.get();
         fbuf.extend_from_slice(frame);
         let plaintext = match est.channel.open_in_place(&mut fbuf) {
             Ok(p) => p,
-            Err(e) => return ReplyMsg::Error(format!("channel failure: {e}")).to_xdr(),
+            Err(e) => {
+                self.pool.put(fbuf);
+                return ReplyMsg::Error(format!("channel failure: {e}")).to_xdr();
+            }
         };
         let mut out = self.pool.get();
-        sealed_env_begin(&mut out);
-        if let Err(e) = self.service_plaintext_into(est, plaintext, &mut out) {
-            self.pool.put(fbuf);
+        let frame_start = match xid {
+            Some(xid) => {
+                seq_env_begin(&mut out, false, est.channel.messages_sent(), xid);
+                SEALED_SEQ_ENV_FRAME_START
+            }
+            None => {
+                sealed_env_begin(&mut out);
+                SEALED_ENV_FRAME_START
+            }
+        };
+        let served = self.service_plaintext_into(est, plaintext, &mut out);
+        self.pool.put(fbuf);
+        if let Err(e) = served {
             self.pool.put(out);
             return ReplyMsg::Error(e).to_xdr();
         }
-        self.pool.put(fbuf);
-        match est.channel.seal_into(&mut out, SEALED_ENV_FRAME_START) {
-            Ok(()) => {
-                sealed_env_finish(&mut out);
-                out
-            }
-            Err(e) => ReplyMsg::Error(format!("channel failure: {e}")).to_xdr(),
+        if let Err(e) = est.channel.seal_into(&mut out, frame_start) {
+            return ReplyMsg::Error(format!("channel failure: {e}")).to_xdr();
         }
+        if xid.is_none() {
+            sealed_env_finish(&mut out);
+            return out;
+        }
+        seq_env_finish(&mut out);
+        // Oldest-first eviction (inside the sharded cache): a
+        // retransmission can only ask for a recent sequence number (the
+        // client's window bounds how far back it retries), so dropping
+        // the globally lowest keys preserves exactly-once for every
+        // answerable replay.
+        let evicted = est.reply_cache.insert(req_seq, out.clone());
+        if evicted > 0 {
+            tel.count("server", "replycache.evictions", evicted);
+        }
+        tel.gauge_set("server", "replycache.size", est.reply_cache.len() as u64);
+        out
     }
 
     /// Dispatches one opened plaintext call, appending the *plaintext*
@@ -803,28 +890,20 @@ impl ServerConn {
         plaintext: &[u8],
         out: &mut Vec<u8>,
     ) -> Result<(), String> {
+        let bad = |e: XdrError| format!("bad inner call: {e}");
         let mut dec = XdrDecoder::new(plaintext);
-        let nfs = match dec.get_u32() {
-            Ok(1) => {
-                match (
-                    dec.get_u32(),
-                    dec.get_u32(),
-                    dec.get_opaque_ref(),
-                    dec.finish(),
-                ) {
-                    (Ok(authno), Ok(proc), Ok(args), Ok(())) => Some((authno, proc, args)),
-                    _ => None,
-                }
-            }
-            _ => None,
-        };
-        let Some((authno, proc, args)) = nfs else {
-            let call =
-                InnerCall::from_xdr(plaintext).map_err(|e| format!("bad inner call: {e}"))?;
+        if !matches!(dec.get_u32(), Ok(1)) {
+            // Not an NFS call (authentication, mount): the general
+            // dispatcher.
+            let call = InnerCall::from_xdr(plaintext).map_err(bad)?;
             let reply = self.handle_inner(est, call);
             out.extend_from_slice(&reply.to_xdr());
             return Ok(());
-        };
+        }
+        let authno = dec.get_u32().map_err(bad)?;
+        let proc = dec.get_u32().map_err(bad)?;
+        let args = dec.get_opaque_ref().map_err(bad)?;
+        dec.finish().map_err(bad)?;
         // Borrow the session's credentials in place: the dispatch below
         // never touches `est`, and skipping the clone keeps the per-RPC
         // allocation count down (gids is a Vec).
@@ -871,20 +950,23 @@ impl ServerConn {
         Ok(())
     }
 
-    /// The windowed entry point used by the pipelined wire: one incoming
-    /// frame may produce zero replies (buffered ahead of a reorder gap),
-    /// one, or several (a frame that fills a gap releases every buffered
-    /// successor at once). Non-sequenced messages take the blocking path
-    /// and always produce exactly one reply.
-    pub fn handle_frames(&self, bytes: &[u8]) -> Vec<Vec<u8>> {
+    /// The entry point of the sealed-RPC engine's wire: appends the
+    /// replies to one incoming message to `out` (see
+    /// [`Self::handle_sealed`]; anything not sealed gets exactly one).
+    pub fn handle_frames(&self, bytes: &[u8], out: &mut Vec<Vec<u8>>) {
         match seq_call_envelope(bytes) {
-            Some((chanseq, xid, frame)) => self.handle_seq_frame(chanseq, xid, &bytes[frame]),
-            None => vec![self.handle_bytes(bytes)],
+            Some((chanseq, xid, frame)) => {
+                self.handle_sealed(Some((chanseq, xid)), &bytes[frame], out)
+            }
+            None => match sealed_envelope_frame(bytes) {
+                Some(frame) => self.handle_sealed(None, &bytes[frame], out),
+                None => out.push(self.handle_bytes(bytes)),
+            },
         }
     }
 
-    /// [`Self::handle_frames`] under multi-core dispatch: the scheduling
-    /// entry point used by [`sfs_sim::Wire::exchange_on`].
+    /// [`Self::handle_frames`] under multi-core dispatch, for sequenced
+    /// frames.
     ///
     /// Without a [`ShardEngine`] installed this is exactly
     /// `handle_frames` with the classic serial cost — byte-for-byte the
@@ -908,131 +990,44 @@ impl ServerConn {
         arrival_ns: u64,
         frame_cost_ns: u64,
         bytes: &[u8],
-    ) -> (Vec<Vec<u8>>, ServerCost) {
+        out: &mut Vec<Vec<u8>>,
+    ) -> ServerCost {
         let Some(engine) = self.server.shard_engine() else {
-            return (self.handle_frames(bytes), ServerCost::Serial(frame_cost_ns));
+            self.handle_frames(bytes, out);
+            return ServerCost::Serial(frame_cost_ns);
         };
         let disk = self.server.vfs().disk().cloned();
         if let Some(d) = &disk {
             d.tally_begin();
         }
         *self.last_shard.lock() = None;
-        let replies = self.handle_frames(bytes);
+        self.handle_frames(bytes, out);
         let tally = disk.as_ref().map(|d| d.tally_end()).unwrap_or_default();
         let shard = self.last_shard.lock().take();
         let tel = self.server.tel.lock().clone();
         let done = engine.schedule(arrival_ns, frame_cost_ns, tally, shard, &tel);
-        (replies, ServerCost::Scheduled(done))
-    }
-
-    /// Services one sequenced pipelined frame. Frames are decrypted
-    /// strictly in channel-sequence order regardless of arrival order:
-    /// early frames buffer, retransmissions of already-consumed frames
-    /// are answered from the reply cache byte-for-byte (neither cipher
-    /// advances), and anything past the reorder window kills the
-    /// session.
-    fn handle_seq_frame(&self, chanseq: u64, xid: u32, frame: &[u8]) -> Vec<Vec<u8>> {
-        let tel = self.server.tel.lock().clone();
-        let _span = tel.span("server", "core.server", "sealed_seq");
-        tel.count("server", "dispatch.calls", 1);
-        if self.server.current_epoch() != self.epoch {
-            tel.count("server", "stale_conns.rejected", 1);
-            return vec![ReplyMsg::Error("connection reset: server restarted".into()).to_xdr()];
-        }
-        let mut state = self.state.lock();
-        let ConnState::Established(est) = &mut *state else {
-            return vec![ReplyMsg::Error("no secure channel".into()).to_xdr()];
-        };
-        let expected = est.channel.messages_received();
-        match est.seq_buf.push(chanseq, xid, frame.to_vec(), expected) {
-            SeqPush::Duplicate if chanseq >= expected => {
-                // Double delivery of a still-buffered frame; the copy
-                // already queued answers once the gap fills.
-                Vec::new()
-            }
-            SeqPush::Duplicate => {
-                tel.count("server", "pipeline.retransmits", 1);
-                match est.reply_cache.get(chanseq) {
-                    Some(cached) => vec![cached.clone()],
-                    None => vec![
-                        ReplyMsg::Error("channel failure: replay beyond cache".into()).to_xdr(),
-                    ],
-                }
-            }
-            SeqPush::Overflow => {
-                vec![ReplyMsg::Error("channel failure: pipeline window overflow".into()).to_xdr()]
-            }
-            SeqPush::Buffered => {
-                let mut replies = Vec::new();
-                while let Some((xid, frame)) = est.seq_buf.take(est.channel.messages_received()) {
-                    replies.push(self.serve_seq_frame(est, &tel, xid, &frame));
-                }
-                tel.gauge_set("server", "pipeline.queue_depth", est.seq_buf.len() as u64);
-                replies
-            }
-        }
-    }
-
-    /// Opens one in-order sequenced frame, dispatches it, and seals the
-    /// sequenced reply, caching it under the request's channel sequence
-    /// number for byte-identical retransmission.
-    fn serve_seq_frame(
-        &self,
-        est: &mut Established,
-        tel: &Telemetry,
-        xid: u32,
-        frame: &[u8],
-    ) -> Vec<u8> {
-        let req_seq = est.channel.messages_received();
-        let mut fbuf = self.pool.get();
-        fbuf.extend_from_slice(frame);
-        let plaintext = match est.channel.open_in_place(&mut fbuf) {
-            Ok(p) => p,
-            Err(e) => {
-                self.pool.put(fbuf);
-                return ReplyMsg::Error(format!("channel failure: {e}")).to_xdr();
-            }
-        };
-        let mut out = self.pool.get();
-        seq_env_begin(&mut out, false, est.channel.messages_sent(), xid);
-        if let Err(e) = self.service_plaintext_into(est, plaintext, &mut out) {
-            self.pool.put(fbuf);
-            self.pool.put(out);
-            return ReplyMsg::Error(e).to_xdr();
-        }
-        self.pool.put(fbuf);
-        let bytes = match est.channel.seal_into(&mut out, SEALED_SEQ_ENV_FRAME_START) {
-            Ok(()) => {
-                seq_env_finish(&mut out);
-                out
-            }
-            Err(e) => ReplyMsg::Error(format!("channel failure: {e}")).to_xdr(),
-        };
-        // Oldest-first eviction (inside the sharded cache): a
-        // retransmission can only ask for a recent sequence number (the
-        // client's window bounds how far back it retries), so dropping
-        // the globally lowest keys preserves exactly-once for every
-        // answerable replay.
-        let evicted = est.reply_cache.insert(req_seq, bytes.clone());
-        if evicted > 0 {
-            tel.count("server", "replycache.evictions", evicted);
-        }
-        tel.gauge_set("server", "replycache.size", est.reply_cache.len() as u64);
-        bytes
+        ServerCost::Scheduled(done)
     }
 
     /// Processes one decoded wire message.
     pub fn handle(&self, msg: CallMsg) -> ReplyMsg {
+        if let CallMsg::Sealed(frame) = &msg {
+            // Sealed frames have one service path, whatever form they
+            // arrive in.
+            let mut out = Vec::with_capacity(1);
+            self.handle_sealed(None, frame, &mut out);
+            return ReplyMsg::from_xdr(&out[0])
+                .unwrap_or_else(|e| ReplyMsg::Error(format!("bad sealed reply: {e}")));
+        }
         let tel = self.server.tel.lock().clone();
         let name = match &msg {
             CallMsg::Hello { .. } => "hello",
             CallMsg::ClientKeys(_) => "client_keys",
-            CallMsg::Sealed(_) => "sealed",
             CallMsg::RoGetRoot => "ro_get_root",
             CallMsg::RoGetBlock(_) => "ro_get_block",
             CallMsg::SrpStart { .. } => "srp_start",
             CallMsg::SrpFinish { .. } => "srp_finish",
-            CallMsg::SealedSeq { .. } => "sealed_seq",
+            CallMsg::Sealed(_) | CallMsg::SealedSeq { .. } => "sealed_seq",
             CallMsg::Resume { .. } => "resume",
         };
         let _span = tel.span("server", "core.server", name);
@@ -1162,24 +1157,6 @@ impl ServerConn {
                     ticket: new_ticket,
                 }
             }
-            CallMsg::Sealed(frame) => {
-                let ConnState::Established(est) = &mut *state else {
-                    return ReplyMsg::Error("no secure channel".into());
-                };
-                let plaintext = match est.channel.open(&frame) {
-                    Ok(p) => p,
-                    Err(e) => return ReplyMsg::Error(format!("channel failure: {e}")),
-                };
-                let call = match InnerCall::from_xdr(&plaintext) {
-                    Ok(c) => c,
-                    Err(e) => return ReplyMsg::Error(format!("bad inner call: {e}")),
-                };
-                let reply = self.handle_inner(est, call);
-                match est.channel.seal(&reply.to_xdr()) {
-                    Ok(sealed) => ReplyMsg::Sealed(sealed),
-                    Err(e) => ReplyMsg::Error(format!("channel failure: {e}")),
-                }
-            }
             CallMsg::RoGetRoot => {
                 if !matches!(*state, ConnState::ReadOnly) {
                     return ReplyMsg::Error("not a read-only connection".into());
@@ -1251,8 +1228,8 @@ impl ServerConn {
             // Sequenced frames only make sense through the windowed
             // entry point (`handle_frames`), which may release several
             // buffered frames at once; a lone one here is a protocol
-            // error.
-            CallMsg::SealedSeq { .. } => {
+            // error. (Unsequenced frames were served above.)
+            CallMsg::Sealed(_) | CallMsg::SealedSeq { .. } => {
                 ReplyMsg::Error("pipelined frame outside windowed path".into())
             }
         }
@@ -1291,41 +1268,15 @@ impl ServerConn {
             InnerCall::Mount => InnerReply::MountReply {
                 root: self.server.root_handle(),
             },
-            InnerCall::Nfs { authno, proc, args } => {
-                let creds = if authno == AUTHNO_ANONYMOUS {
-                    Credentials::anonymous()
-                } else {
-                    match est.authnos.get(&authno) {
-                        Some((_, creds)) => creds.clone(),
-                        None => Credentials::anonymous(),
-                    }
-                };
-                let results = self.dispatch_nfs(&creds, proc, &args);
-                // Piggyback this connection's pending invalidation
-                // callbacks, in SFS handle form.
-                let pending: Vec<FileHandle> = self
-                    .pending
-                    .lock()
-                    .drain(..)
-                    .map(|fh| self.server.encrypt_handle(fh))
-                    .collect();
-                InnerReply::Nfs {
-                    results,
-                    invalidations: pending,
-                }
-            }
+            // `service_plaintext_into` serves every frame tagged as an NFS
+            // call in place.
+            InnerCall::Nfs { .. } => unreachable!("NFS calls never reach the general dispatcher"),
         }
     }
 
-    fn dispatch_nfs(&self, creds: &Credentials, proc: u32, args: &[u8]) -> Vec<u8> {
-        let mut enc = XdrEncoder::new();
-        self.dispatch_nfs_into(creds, proc, args, &mut enc);
-        enc.into_bytes()
-    }
-
-    /// [`Self::dispatch_nfs`] marshaling the results into a caller-owned
-    /// encoder (the hot path appends them straight into the reply
-    /// envelope).
+    /// Dispatches one NFS3 call, marshaling the results into a
+    /// caller-owned encoder (the hot path appends them straight into the
+    /// reply envelope).
     fn dispatch_nfs_into(&self, creds: &Credentials, proc: u32, args: &[u8], enc: &mut XdrEncoder) {
         let err = |status: Status, enc: &mut XdrEncoder| {
             Nfs3Reply::Error {

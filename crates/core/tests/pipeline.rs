@@ -31,10 +31,12 @@ use sfs::client::{RetryPolicy, SfsClient, SfsNetwork, DEFAULT_PIPELINE_WINDOW};
 use sfs::server::{ServerConfig, SfsServer};
 use sfs_bignum::XorShiftSource;
 use sfs_crypto::rabin::{generate_keypair, RabinPrivateKey};
+use sfs_crypto::sha1::{digest_hex, Sha1};
 use sfs_crypto::srp::SrpGroup;
 use sfs_crypto::SfsPrg;
-use sfs_nfs3::{Nfs3Reply, Nfs3Request, Sattr3, Status};
-use sfs_sim::{FaultEvent, FaultPlan, NetParams, SimClock, Transport};
+use sfs_nfs3::{Nfs3Reply, Nfs3Request, Sattr3, StableHow, Status};
+use sfs_proto::channel::SuiteId;
+use sfs_sim::{Direction, FaultEvent, FaultPlan, NetParams, PacketLog, SimClock, Transport};
 use sfs_vfs::{Credentials, Vfs};
 
 fn server_key() -> RabinPrivateKey {
@@ -81,6 +83,7 @@ const BATCH: usize = 12;
 
 struct World {
     clock: SimClock,
+    net: Arc<SfsNetwork>,
     client: Arc<SfsClient>,
     server: Arc<SfsServer>,
     home: String,
@@ -120,7 +123,7 @@ fn build_world(plan: &FaultPlan) -> World {
     let net = SfsNetwork::new(clock.clone(), NetParams::switched_100mbit(Transport::Tcp));
     net.set_fault_plan(plan.clone());
     net.register(server.clone());
-    let client = SfsClient::with_ephemeral(net, b"pipeline-client", client_ephemeral());
+    let client = SfsClient::with_ephemeral(net.clone(), b"pipeline-client", client_ephemeral());
     client.agent(ALICE_UID).lock().add_key(user_key());
     // These properties assert that *retransmission alone* rides out the
     // wire faults (reconnects == 0 below), so give it enough budget that
@@ -133,6 +136,7 @@ fn build_world(plan: &FaultPlan) -> World {
     let home = format!("{}/home/alice", server.path().full_path());
     World {
         clock,
+        net,
         client,
         server,
         home,
@@ -331,28 +335,119 @@ fn every_window_depth_preserves_exactly_once() {
     }
 }
 
-#[test]
-fn window_one_matches_blocking_replies() {
-    // Window 1 through the windowed entry point and the plain blocking
-    // path must produce identical reply streams on a clean wire.
-    let plan = FaultPlan::from_spec("seed=0").unwrap();
-
-    let w = build_world(&plan);
-    w.client.set_pipeline_window(1);
+/// Runs a fixed session — mount, authentication, a dozen single calls
+/// (one of them a denied SETATTR) and one window of 8 — on a packet-logged
+/// clean wire under `suite`. Returns the SHA-1 over every logged packet
+/// and the envelope discriminant of each packet after the handshake.
+fn pinned_session(suite: SuiteId) -> (String, Vec<u32>) {
+    let w = build_world(&FaultPlan::from_spec("seed=0").unwrap());
+    let log = PacketLog::new();
+    w.net.set_log(log.clone());
+    w.client.set_suite_offer(&[suite]);
+    w.client.set_pipeline_window(8);
     let (mount, dir_fh, _) = w.client.resolve(ALICE_UID, &w.home).unwrap();
-    let reqs = mkdir_batch(&dir_fh, "parity");
-    let windowed = w.client.call_nfs_window(&mount, ALICE_UID, &reqs).unwrap();
+    let handshake = log.len();
+    let call = |req: Nfs3Request| w.client.call_nfs(&mount, ALICE_UID, &req).unwrap();
+    call(Nfs3Request::GetAttr { fh: dir_fh.clone() });
+    let Nfs3Reply::Create { fh: file, .. } = call(Nfs3Request::Create {
+        dir: dir_fh.clone(),
+        name: "pinned".into(),
+        attrs: Sattr3::default(),
+    }) else {
+        panic!("create failed");
+    };
+    call(Nfs3Request::Mkdir {
+        dir: dir_fh.clone(),
+        name: "pinned-dir".into(),
+        attrs: Sattr3::default(),
+    });
+    call(Nfs3Request::Lookup {
+        dir: dir_fh.clone(),
+        name: "pinned-dir".into(),
+    });
+    for (i, len) in [100usize, 4096, 8192].into_iter().enumerate() {
+        call(Nfs3Request::Write {
+            fh: file.clone(),
+            offset: (i * 8192) as u64,
+            stable: StableHow::FileSync,
+            data: (0..len).map(|b| (b % 251) as u8).collect(),
+        });
+    }
+    call(Nfs3Request::Read {
+        fh: file.clone(),
+        offset: 0,
+        count: 8192,
+    });
+    call(Nfs3Request::GetAttr { fh: file.clone() });
+    let denied = call(Nfs3Request::SetAttr {
+        fh: file.clone(),
+        attrs: Sattr3 {
+            uid: Some(0),
+            ..Default::default()
+        },
+    });
+    assert!(
+        matches!(
+            denied,
+            Nfs3Reply::Error {
+                status: Status::Perm,
+                ..
+            }
+        ),
+        "chown to root must be denied: {denied:?}"
+    );
+    call(Nfs3Request::Lookup {
+        dir: dir_fh.clone(),
+        name: "absent".into(),
+    });
+    call(Nfs3Request::Read {
+        fh: file.clone(),
+        offset: 8192,
+        count: 4096,
+    });
+    let window = w
+        .client
+        .call_nfs_window(&mount, ALICE_UID, &mkdir_batch(&dir_fh, "pin")[..8])
+        .unwrap();
+    assert!(window.iter().all(|r| matches!(r, Nfs3Reply::Mkdir { .. })));
+    let mut h = Sha1::new();
+    let mut discs = Vec::new();
+    for (i, (dir, bytes)) in log.snapshot().iter().enumerate() {
+        h.update(&[matches!(dir, Direction::Request) as u8]);
+        h.update(&(bytes.len() as u32).to_be_bytes());
+        h.update(bytes);
+        if i >= handshake {
+            discs.push(u32::from_be_bytes(bytes[..4].try_into().unwrap()));
+        }
+    }
+    (digest_hex(&h.finalize()), discs)
+}
 
-    let w2 = build_world(&plan);
-    let (mount2, dir_fh2, _) = w2.client.resolve(ALICE_UID, &w2.home).unwrap();
-    let reqs2 = mkdir_batch(&dir_fh2, "parity");
-    let blocking: Vec<Nfs3Reply> = reqs2
-        .iter()
-        .map(|r| w2.client.call_nfs(&mount2, ALICE_UID, r).unwrap())
-        .collect();
-
-    let fp = |rs: &[Nfs3Reply]| rs.iter().map(|r| format!("{r:?}")).collect::<Vec<_>>();
-    assert_eq!(fp(&windowed), fp(&blocking));
+#[test]
+fn session_wire_bytes_are_pinned() {
+    // Every packet of a fixed session, hashed: the sealed-RPC engine must
+    // put exactly these bytes on the wire. The digests were captured
+    // before single calls and windows shared one engine.
+    for (suite, pinned) in [
+        (
+            SuiteId::Arc4Sha1,
+            "6dc2413deed15f16b34790ba570febac48f19858",
+        ),
+        (
+            SuiteId::ChaCha20Poly1305,
+            "f522a9a265628b051d3936417522345ac99fe804",
+        ),
+    ] {
+        let (digest, discs) = pinned_session(suite);
+        assert_eq!(digest, pinned, "{suite:?}: wire bytes moved");
+        // One-frame exchanges carry the paper's unsequenced envelope (2);
+        // only the window of 8 is sequenced (7 out, 8 back).
+        let (singles, window) = discs.split_at(discs.len() - 16);
+        assert!(singles.len() >= 24, "{suite:?}: {singles:?}");
+        assert!(singles.iter().all(|&d| d == 2), "{suite:?}: {singles:?}");
+        assert_eq!(window.iter().filter(|&&d| d == 7).count(), 8, "{suite:?}");
+        assert_eq!(window.iter().filter(|&&d| d == 8).count(), 8, "{suite:?}");
+    }
 }
 
 #[test]

@@ -5,15 +5,22 @@
 use std::sync::Arc;
 
 use sfs::authserver::{AuthServer, UserRecord};
-use sfs::client::{SfsClient, SfsNetwork};
-use sfs::server::{ServerConfig, SfsServer};
+use sfs::client::{SfsClient, SfsNetwork, PROTOCOL_VERSION};
+use sfs::server::{ServerConfig, ServerConn, SfsServer};
+use sfs::wire::{
+    sealed_env_begin, sealed_env_finish, seq_call_envelope, seq_env_begin, seq_env_finish, CallMsg,
+    Dialect, InnerCall, ReplyMsg, Service, SEALED_ENV_FRAME_START, SEALED_SEQ_ENV_FRAME_START,
+};
 use sfs_bignum::XorShiftSource;
 use sfs_crypto::rabin::{generate_keypair, RabinPrivateKey};
 use sfs_crypto::srp::SrpGroup;
 use sfs_crypto::SfsPrg;
-use sfs_nfs3::proto::{Nfs3Reply, Nfs3Request, StableHow};
+use sfs_nfs3::proto::{Nfs3Reply, Nfs3Request, Proc, StableHow};
+use sfs_proto::channel::{SecureChannelEnd, SuiteId};
+use sfs_proto::keyneg::KeyNegClient;
 use sfs_sim::{NetParams, SimClock, Transport};
 use sfs_vfs::{Credentials, SetAttr, Vfs};
+use sfs_xdr::Xdr;
 use std::sync::OnceLock;
 
 const UID: u32 = 1000;
@@ -244,5 +251,141 @@ fn server_conn_never_panics_on_garbage() {
             let packet: Vec<u8> = (0..len).map(|_| next() as u8).collect();
             let _ = conn.handle_bytes(&packet);
         }
+    }
+}
+
+/// Runs the Figure-3 key negotiation by hand on a fresh connection and
+/// returns the established server end with the client's channel.
+fn established(server: &Arc<SfsServer>, suite: SuiteId) -> (ServerConn, SecureChannelEnd) {
+    let conn = server.accept();
+    let neg = KeyNegClient::with_suites(server.path().clone(), server_key(), &[suite]);
+    let hello = CallMsg::Hello {
+        req: neg.hello(),
+        service: Service::File,
+        dialect: Dialect::ReadWrite,
+        version: PROTOCOL_VERSION,
+        extensions: neg.offer_extensions(),
+    };
+    let ReplyMsg::ServerReply(reply) = conn.handle(hello) else {
+        panic!("expected the server key");
+    };
+    let mut rng = XorShiftSource::new(0x5EA1);
+    let (awaiting, msg3) = neg.on_server_reply(&reply, &mut rng).unwrap();
+    let ReplyMsg::ServerKeys(msg4) = conn.handle(CallMsg::ClientKeys(msg3)) else {
+        panic!("expected the server key halves");
+    };
+    let (keys, suite) = awaiting.on_server_halves(&msg4).unwrap();
+    (conn, SecureChannelEnd::client_with_suite(&keys, suite))
+}
+
+/// Well-formed envelopes of both kinds on an *established* connection,
+/// mangled the ways a hostile network can: flipped frame bytes, short or
+/// overlong length words, nonzero padding, a `chanseq` far behind or
+/// ahead of the window, repeated xids and replays. Random bytes almost
+/// never parse as a sealed envelope, so this is what reaches the
+/// per-frame service path. No input may panic; an unsequenced envelope
+/// gets exactly one reply, a sequenced one at most a reorder buffer's
+/// worth (64), and every reply parses (48 seeded cases per suite).
+#[test]
+fn server_conn_survives_hostile_envelopes_on_a_live_session() {
+    static SERVER: OnceLock<Arc<SfsServer>> = OnceLock::new();
+    let server = SERVER.get_or_init(|| world().0).clone();
+    let root = server.root_handle();
+    let mut state = 0xE7E1u64;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    for suite in [SuiteId::Arc4Sha1, SuiteId::ChaCha20Poly1305] {
+        // Sealed replies of each kind: proof the frames got past the
+        // envelope checks into the service path.
+        let mut served = [0u32; 2];
+        for _case in 0..48 {
+            let (conn, mut channel) = established(&server, suite);
+            let mut sent: Vec<Vec<u8>> = Vec::new();
+            for _ in 0..(1 + next() % 8) {
+                let call = match next() % 3 {
+                    0 => InnerCall::Mount,
+                    1 => InnerCall::Nfs {
+                        authno: 0,
+                        proc: Proc::GetAttr as u32,
+                        args: Nfs3Request::GetAttr { fh: root.clone() }.encode_args(),
+                    },
+                    _ => InnerCall::Nfs {
+                        authno: next() as u32,
+                        proc: next() as u32 % 24,
+                        args: (0..next() % 40).map(|_| next() as u8).collect(),
+                    },
+                };
+                let sequenced = next() % 2 == 0;
+                let mut env = Vec::new();
+                let frame_start = if sequenced {
+                    let chanseq = match next() % 4 {
+                        0 => channel.messages_sent(),
+                        1 => next() % channel.messages_sent().max(1),
+                        2 => channel.messages_sent() + 1 + next() % 100,
+                        _ => next(),
+                    };
+                    seq_env_begin(&mut env, true, chanseq, (next() % 3) as u32);
+                    SEALED_SEQ_ENV_FRAME_START
+                } else {
+                    sealed_env_begin(&mut env);
+                    SEALED_ENV_FRAME_START
+                };
+                env.extend_from_slice(&call.to_xdr());
+                channel.seal_into(&mut env, frame_start).unwrap();
+                if sequenced {
+                    seq_env_finish(&mut env);
+                } else {
+                    sealed_env_finish(&mut env);
+                }
+                let len_word = frame_start - 4..frame_start;
+                // Half the envelopes go out intact, half mangled.
+                match next() % 10 {
+                    0 => {
+                        let i = frame_start + (next() as usize) % (env.len() - frame_start);
+                        env[i] ^= 1 << (next() % 8);
+                    }
+                    1 => {
+                        let claimed = u32::from_be_bytes(env[len_word.clone()].try_into().unwrap());
+                        let wrong = claimed.wrapping_add(1 + (next() % 8) as u32);
+                        env[len_word].copy_from_slice(&wrong.to_be_bytes());
+                    }
+                    2 => {
+                        let claimed = u32::from_be_bytes(env[len_word.clone()].try_into().unwrap());
+                        let wrong = claimed.saturating_sub(1 + (next() % 8) as u32);
+                        env[len_word].copy_from_slice(&wrong.to_be_bytes());
+                    }
+                    3 => env.extend_from_slice(&[0, 0, 0, 1 + next() as u8 % 255]),
+                    4 if !sent.is_empty() => env = sent[next() as usize % sent.len()].clone(),
+                    _ => {}
+                }
+                let mut out = Vec::new();
+                conn.handle_frames(&env, &mut out);
+                if seq_call_envelope(&env).is_some() {
+                    assert!(out.len() <= 64, "{} replies to one frame", out.len());
+                } else {
+                    assert_eq!(
+                        out.len(),
+                        1,
+                        "an unsequenced message gets exactly one reply"
+                    );
+                    // The one-reply entry point, fed the same bytes again.
+                    out.push(conn.handle_bytes(&env));
+                }
+                for reply in &out {
+                    match ReplyMsg::from_xdr(reply).expect("every reply parses") {
+                        ReplyMsg::Sealed(_) => served[0] += 1,
+                        ReplyMsg::SealedSeq { .. } => served[1] += 1,
+                        _ => {}
+                    }
+                }
+                sent.push(env);
+            }
+        }
+        assert!(served.iter().all(|&n| n > 0), "{suite:?}: {served:?}");
     }
 }

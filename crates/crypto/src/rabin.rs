@@ -17,9 +17,7 @@
 //! `(e, f)`. Verification is a single modular squaring — cheap, which is
 //! what lets SFS read-only servers serve many clients (§2.4).
 
-use sfs_bignum::{
-    crt_pair, gen_prime_congruent, invmod, jacobi, sqrt_mod_3mod4, Nat, RandomSource,
-};
+use sfs_bignum::{gen_prime_congruent, jacobi, sqrt_mod_3mod4, Crt, Nat, RandomSource};
 
 use crate::sha1::{mgf1, sha1, sha1_concat, DIGEST_LEN};
 
@@ -60,10 +58,9 @@ pub struct RabinPublicKey {
 /// A Rabin–Williams private key (the factorization of `n`).
 #[derive(Clone)]
 pub struct RabinPrivateKey {
-    p: Nat,
-    q: Nat,
-    /// `p⁻¹ mod q`, the CRT coefficient every root recombination uses.
-    p_inv_q: Nat,
+    /// The factors `p`, `q` with the CRT coefficient every root
+    /// recombination uses.
+    crt: Crt,
     public: RabinPublicKey,
 }
 
@@ -251,8 +248,8 @@ impl RabinPrivateKey {
         if c >= self.public.n {
             return Err(RabinError::BadCiphertextLength);
         }
-        let rp = sqrt_mod_3mod4(&c, &self.p).ok_or(RabinError::DecryptionFailed)?;
-        let rq = sqrt_mod_3mod4(&c, &self.q).ok_or(RabinError::DecryptionFailed)?;
+        let rp = sqrt_mod_3mod4(&c, self.crt.p()).ok_or(RabinError::DecryptionFailed)?;
+        let rq = sqrt_mod_3mod4(&c, self.crt.q()).ok_or(RabinError::DecryptionFailed)?;
         let roots = self.all_roots(&rp, &rq);
         for r in roots {
             if let Some(m) = self.try_unpad(&r) {
@@ -271,7 +268,7 @@ impl RabinPrivateKey {
         // A Jacobi symbol is zero exactly when h shares a factor with that
         // modulus, so the symbols double as the coprimality test.
         let (jp, jq) = loop {
-            let (jp, jq) = (jacobi(&h, &self.p), jacobi(&h, &self.q));
+            let (jp, jq) = (jacobi(&h, self.crt.p()), jacobi(&h, self.crt.q()));
             if jp != 0 && jq != 0 {
                 break (jp, jq);
             }
@@ -284,15 +281,15 @@ impl RabinPrivateKey {
         if double {
             target = target.shl_bits(1).rem_nat(n).unwrap();
         }
-        let negate = jacobi(&target, &self.q) == -1;
+        let negate = jacobi(&target, self.crt.q()) == -1;
         if negate {
             target = n.checked_sub(&target).unwrap();
         }
-        debug_assert_eq!(jacobi(&target, &self.p), 1);
-        debug_assert_eq!(jacobi(&target, &self.q), 1);
-        let rp = sqrt_mod_3mod4(&target, &self.p).expect("tweaked hash must be a QR mod p");
-        let rq = sqrt_mod_3mod4(&target, &self.q).expect("tweaked hash must be a QR mod q");
-        let s = crt_pair(&rp, &self.p, &rq, &self.q, &self.p_inv_q);
+        debug_assert_eq!(jacobi(&target, self.crt.p()), 1);
+        debug_assert_eq!(jacobi(&target, self.crt.q()), 1);
+        let rp = sqrt_mod_3mod4(&target, self.crt.p()).expect("tweaked hash must be a QR mod p");
+        let rq = sqrt_mod_3mod4(&target, self.crt.q()).expect("tweaked hash must be a QR mod q");
+        let s = self.crt.combine(&rp, &rq);
         // Canonicalize to the smaller of {s, n-s} so signing is a function.
         let s_alt = n.checked_sub(&s).unwrap();
         let root = if s_alt < s { s_alt } else { s };
@@ -305,9 +302,10 @@ impl RabinPrivateKey {
 
     /// All four CRT combinations of `(±rp, ±rq)`.
     fn all_roots(&self, rp: &Nat, rq: &Nat) -> [Nat; 4] {
-        let np = self.p.checked_sub(rp).unwrap().rem_nat(&self.p).unwrap();
-        let nq = self.q.checked_sub(rq).unwrap().rem_nat(&self.q).unwrap();
-        let crt = |xp: &Nat, xq: &Nat| crt_pair(xp, &self.p, xq, &self.q, &self.p_inv_q);
+        let (p, q) = (self.crt.p(), self.crt.q());
+        let np = p.checked_sub(rp).unwrap().rem_nat(p).unwrap();
+        let nq = q.checked_sub(rq).unwrap().rem_nat(q).unwrap();
+        let crt = |xp: &Nat, xq: &Nat| self.crt.combine(xp, xq);
         [crt(rp, rq), crt(rp, &nq), crt(&np, rq), crt(&np, &nq)]
     }
 
@@ -351,8 +349,8 @@ impl RabinPrivateKey {
     /// Users register eksblowfish-encrypted copies of this blob with
     /// authserv so a password can recover the key from anywhere (§2.4).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let p = self.p.to_bytes_be();
-        let q = self.q.to_bytes_be();
+        let p = self.crt.p().to_bytes_be();
+        let q = self.crt.q().to_bytes_be();
         let mut out = Vec::with_capacity(p.len() + q.len() + 8);
         out.extend_from_slice(&(p.len() as u32).to_be_bytes());
         out.extend_from_slice(&p);
@@ -388,13 +386,11 @@ impl RabinPrivateKey {
     /// Builds the key for `n = p·q`, or `None` when `p` and `q` share a
     /// factor (CRT recombination needs `p⁻¹ mod q`).
     fn from_factors(p: Nat, q: Nat) -> Option<Self> {
-        let p_inv_q = invmod(&p, &q)?;
-        let n = p.mul_nat(&q);
+        let crt = Crt::new(p, q)?;
+        let n = crt.p().mul_nat(crt.q());
         let k = n.to_bytes_be().len();
         Some(RabinPrivateKey {
-            p,
-            q,
-            p_inv_q,
+            crt,
             public: RabinPublicKey { n, k },
         })
     }
@@ -429,9 +425,9 @@ mod tests {
     #[test]
     fn keygen_congruences() {
         let key = test_key();
-        assert_eq!(key.p.div_rem_u64(8).1, 3);
-        assert_eq!(key.q.div_rem_u64(8).1, 7);
-        assert_eq!(key.p.mul_nat(&key.q), *key.public().modulus());
+        assert_eq!(key.crt.p().div_rem_u64(8).1, 3);
+        assert_eq!(key.crt.q().div_rem_u64(8).1, 7);
+        assert_eq!(key.crt.p().mul_nat(key.crt.q()), *key.public().modulus());
     }
 
     #[test]

@@ -224,6 +224,25 @@ pub struct ExchangeReply {
     pub arrival: SimTime,
 }
 
+/// The buffers of one [`Wire::exchange_on`], kept by the caller so a
+/// steady-state exchange allocates nothing.
+#[derive(Debug, Default)]
+pub struct ExchangeBufs {
+    /// Request frames to send, each with its virtual send time. The
+    /// exchange drains it.
+    pub frames: Vec<(SimTime, Vec<u8>)>,
+    /// Every reply the adversary let through, sorted by arrival. Cleared
+    /// at the start of each exchange.
+    pub replies: Vec<ExchangeReply>,
+    /// Request buffers the server is done with, handed back for reuse.
+    /// The caller drains it.
+    pub spent: Vec<Vec<u8>>,
+    /// Delivered requests: (arrival, send index, bytes, duplicated).
+    arrivals: Vec<(u64, usize, Vec<u8>, bool)>,
+    /// Replies of the service call in progress.
+    served: Vec<Vec<u8>>,
+}
+
 /// A synchronous request/response wire between a client and a server.
 ///
 /// The server side is a closure; layering (secure channel, RPC dispatch,
@@ -446,38 +465,51 @@ impl Wire {
         frames: Vec<(SimTime, Vec<u8>)>,
         mut server: impl FnMut(&[u8]) -> (Vec<Vec<u8>>, u64),
     ) -> Vec<ExchangeReply> {
-        self.exchange_on(frames, |_arrival, bytes| {
+        let mut bufs = ExchangeBufs {
+            frames,
+            ..ExchangeBufs::default()
+        };
+        self.exchange_on(&mut bufs, |_arrival, bytes, out| {
             let (replies, extra_ns) = server(bytes);
-            (replies, ServerCost::Serial(extra_ns))
-        })
+            out.extend(replies);
+            ServerCost::Serial(extra_ns)
+        });
+        bufs.replies
     }
 
     /// Like [`Wire::exchange`], but the server closure sees each frame's
-    /// absolute arrival time and decides how its service time is
-    /// accounted: [`ServerCost::Serial`] keeps the classic single-server
-    /// discipline (one request at a time, scaled by [`ServerLoad`]
-    /// sharers), while [`ServerCost::Scheduled`] hands back an absolute
-    /// completion instant computed by an external scheduler (a multi-core
-    /// [`crate::CoreSet`] + per-shard disk queues) — the wire then treats
-    /// the server as parallel and does not serialize requests against
-    /// each other. Reply-link serialization is unaffected: the downlink
-    /// is one NIC regardless of how many cores fed it.
+    /// absolute arrival time, pushes its replies into the vector it is
+    /// handed, and decides how its service time is accounted:
+    /// [`ServerCost::Serial`] keeps the classic single-server discipline
+    /// (one request at a time, scaled by [`ServerLoad`] sharers), while
+    /// [`ServerCost::Scheduled`] hands back an absolute completion
+    /// instant computed elsewhere (a multi-core [`crate::CoreSet`] +
+    /// per-shard disk queues, or the shared clock itself) — the wire then
+    /// does not serialize requests against each other. Reply-link
+    /// serialization is unaffected: the downlink is one NIC regardless of
+    /// how many cores fed it.
+    ///
+    /// Frames come from `bufs.frames`, replies land in `bufs.replies`,
+    /// and request buffers the server has finished with are returned in
+    /// `bufs.spent`.
     pub fn exchange_on(
         &self,
-        frames: Vec<(SimTime, Vec<u8>)>,
-        mut server: impl FnMut(u64, &[u8]) -> (Vec<Vec<u8>>, ServerCost),
-    ) -> Vec<ExchangeReply> {
-        if frames.is_empty() {
-            return Vec::new();
+        bufs: &mut ExchangeBufs,
+        mut server: impl FnMut(u64, &[u8], &mut Vec<Vec<u8>>) -> ServerCost,
+    ) {
+        bufs.replies.clear();
+        if bufs.frames.is_empty() {
+            return;
         }
         let _span = self
             .tel
             .span("wire", "sim.net", "exchange")
-            .with_attr("frames", frames.len() as u64);
+            .with_attr("frames", bufs.frames.len() as u64);
         // Client→server: serialize in send order onto the shared link.
         let mut req_link_free = 0u64;
-        let mut arrivals: Vec<(u64, usize, Vec<u8>, bool)> = Vec::new();
-        for (idx, (sent, bytes)) in frames.into_iter().enumerate() {
+        let arrivals = &mut bufs.arrivals;
+        arrivals.clear();
+        for (idx, (sent, bytes)) in bufs.frames.drain(..).enumerate() {
             let ser = self.ser_ns(bytes.len());
             let depart = sent.as_nanos().max(req_link_free);
             req_link_free = depart + ser;
@@ -494,12 +526,13 @@ impl Wire {
         arrivals.sort_by_key(|&(arrival, idx, ..)| (arrival, idx));
         let mut server_free = 0u64;
         let mut reply_link_free = 0u64;
-        let mut out: Vec<ExchangeReply> = Vec::new();
+        let out = &mut bufs.replies;
         let mut answered = 0u64;
         let sharers = self.sharers();
-        for (arrival, _idx, bytes, dup) in arrivals {
+        for (arrival, _idx, bytes, dup) in arrivals.drain(..) {
             for _ in 0..if dup { 2 } else { 1 } {
-                let ((replies, cost), dt) = self.clock.measure(|| server(arrival, &bytes));
+                let served = &mut bufs.served;
+                let (cost, dt) = self.clock.measure(|| server(arrival, &bytes, served));
                 let end = match cost {
                     // One server core: requests queue behind each other,
                     // and `sharers` streams time-share it.
@@ -509,14 +542,14 @@ impl Wire {
                         server_free = end;
                         end
                     }
-                    // An external scheduler already placed the work on a
-                    // core/disk timeline: its completion instant stands,
-                    // and the server is not a serial bottleneck here (the
-                    // closure's own clock consumption was tallied by the
-                    // scheduler, so `dt` is not re-charged).
+                    // The work was already placed on a timeline: its
+                    // completion instant stands, and the server is not a
+                    // serial bottleneck here (the closure's own clock
+                    // consumption is part of that instant, so `dt` is not
+                    // re-charged).
                     ServerCost::Scheduled(done_ns) => done_ns.max(arrival),
                 };
-                for rbytes in replies {
+                for rbytes in served.drain(..) {
                     let ser = sharers * self.ser_ns(rbytes.len());
                     let depart = end.max(reply_link_free);
                     reply_link_free = depart + ser;
@@ -551,6 +584,7 @@ impl Wire {
                     }
                 }
             }
+            bufs.spent.push(bytes);
         }
         self.bump("net.round_trips", answered);
         // The caller resumes once the last surviving reply is in; a
@@ -560,7 +594,6 @@ impl Wire {
             self.clock.advance_to(finish);
         }
         out.sort_by_key(|r| r.arrival);
-        out
     }
 
     /// Sends `request` to `server` and returns its reply, charging transit
