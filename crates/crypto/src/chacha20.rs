@@ -19,10 +19,13 @@
 //! cross-checked against the portable tier in tests, exactly like the
 //! SHA-NI compression path. [`avx2`] runs four blocks per step with two
 //! blocks sharing each 256-bit register (the row layout again, one
-//! block per 128-bit lane, so diagonalization is an in-lane shuffle)
-//! and does the 16- and 8-bit rotations with a single byte shuffle.
-//! [`avx512`] doubles that to eight blocks per step on 512-bit
-//! registers, where every rotation is a native `vprold`.
+//! block per 128-bit lane, so diagonalization is an in-lane shuffle),
+//! does the 16- and 8-bit rotations with a single byte shuffle, and
+//! finishes any tail with one more step into a stack block. [`avx512`]
+//! doubles that to eight blocks per step on 512-bit registers, where
+//! every rotation is a native `vprold`, and leaves its sub-step
+//! remainder to the AVX2 tier. The portable tier runs only on hosts
+//! without AVX2.
 
 /// Key length in bytes (256-bit keys only; RFC 8439 drops the 128-bit form).
 pub const KEY_LEN: usize = 32;
@@ -126,6 +129,24 @@ fn permute2(words: &[u32; 16]) -> [[u32; 16]; 2] {
     out
 }
 
+/// The widest step any tier takes, in bytes (eight blocks).
+pub(crate) const MAX_STEP: usize = 8 * BLOCK_LEN;
+
+/// XORs `ks` into `dst` bytewise, over the shorter of the two.
+#[inline(always)]
+pub(crate) fn xor_bytes(dst: &mut [u8], ks: &[u8]) {
+    for (d, k) in dst.iter_mut().zip(ks) {
+        *d ^= k;
+    }
+}
+
+/// The AVX-512 tier also runs the AVX2 step for its remainders, so it
+/// needs both features.
+#[cfg(target_arch = "x86_64")]
+fn has_avx512() -> bool {
+    std::arch::is_x86_feature_detected!("avx512f") && std::arch::is_x86_feature_detected!("avx2")
+}
+
 /// ChaCha20 stream state: key, nonce, and the current block counter.
 #[derive(Clone)]
 pub struct ChaCha20 {
@@ -155,22 +176,44 @@ impl ChaCha20 {
     /// the AEAD layer relies on (each frame is processed in one call).
     pub fn xor_keystream(&mut self, buf: &mut [u8]) {
         #[cfg(target_arch = "x86_64")]
-        let buf = if std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: feature presence is checked immediately above.
-            let done = unsafe { avx512::xor_keystream8(&mut self.words, buf) };
-            &mut buf[done..]
-        } else if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: feature presence is checked immediately above.
-            let done = unsafe { avx2::xor_keystream4(&mut self.words, buf) };
-            &mut buf[done..]
-        } else {
-            buf
-        };
+        {
+            if has_avx512() {
+                // SAFETY: AVX-512F and AVX2 presence is checked just above.
+                unsafe {
+                    let done = avx512::xor_steps(&mut self.words, buf);
+                    avx2::xor_keystream(&mut self.words, &mut buf[done..]);
+                }
+                return;
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: AVX2 presence is checked just above.
+                unsafe { avx2::xor_keystream(&mut self.words, buf) };
+                return;
+            }
+        }
         self.xor_keystream_portable(buf);
     }
 
-    /// The auto-vectorized two-block tier; also finishes whatever tail
-    /// the four-block AVX2 tier leaves behind.
+    /// Writes one step of the widest tier's keystream, from the current
+    /// counter on, to the front of `out`, advances the counter past it,
+    /// and returns the step's length: 512, 256 or 128 bytes.
+    pub(crate) fn keystream_step(&mut self, out: &mut [u8; MAX_STEP]) -> usize {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if has_avx512() {
+                // SAFETY: AVX-512F presence is checked just above.
+                return unsafe { avx512::keystream(&mut self.words, out) };
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: AVX2 presence is checked just above.
+                return unsafe { avx2::keystream(&mut self.words, out) };
+            }
+        }
+        self.keystream_step_portable(out)
+    }
+
+    /// The auto-vectorized two-block tier: the only one on hosts without
+    /// AVX2, and the reference the wide tiers are tested against.
     fn xor_keystream_portable(&mut self, buf: &mut [u8]) {
         let mut chunks = buf.chunks_exact_mut(2 * BLOCK_LEN);
         for chunk in &mut chunks {
@@ -198,10 +241,21 @@ impl ChaCha20 {
         }
         self.words[12] = self.words[12].wrapping_add(rest.len().div_ceil(BLOCK_LEN) as u32);
     }
+
+    /// The portable tier's step: two blocks.
+    fn keystream_step_portable(&mut self, out: &mut [u8; MAX_STEP]) -> usize {
+        let ks = permute2(&self.words);
+        for (dst, w) in out.chunks_exact_mut(4).zip(ks.iter().flatten()) {
+            dst.copy_from_slice(&w.to_le_bytes());
+        }
+        self.words[12] = self.words[12].wrapping_add(2);
+        2 * BLOCK_LEN
+    }
 }
 
-/// Computes one raw keystream block (§2.3): the AEAD layer takes the
-/// first 32 bytes of block 0 as the Poly1305 one-time key (§2.6).
+/// Computes one raw keystream block (§2.3) on the portable tier: the
+/// reference for the first 32 bytes of block 0, the Poly1305 one-time
+/// key (§2.6).
 pub fn keystream_block(
     key: &[u8; KEY_LEN],
     nonce: &[u8; NONCE_LEN],
@@ -219,48 +273,67 @@ pub fn keystream_block(
 /// Four blocks per step on 256-bit registers: two row-layout states, one
 /// block per 128-bit lane. Rotations by 16 and 8 are single byte
 /// shuffles; diagonalization shuffles words within each lane, so the two
-/// blocks in a register never mix.
+/// blocks in a register never mix. A partial tail takes one more step
+/// into a stack block.
+///
+/// The functions are safe to call only from code that has checked for
+/// AVX2 (the compiler demands `unsafe` at every other call site).
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::BLOCK_LEN;
+    use super::{xor_bytes, BLOCK_LEN, MAX_STEP};
     use std::arch::x86_64::*;
 
+    /// Keystream bytes per step (four blocks).
     const STEP: usize = 4 * BLOCK_LEN;
 
-    /// XORs keystream over as many whole 256-byte (four-block) chunks as
-    /// fit in `buf`, advancing the counter word. Returns bytes consumed.
+    /// The state template and the counter rows of the two interleaved
+    /// states: `a` holds blocks n and n+1, `b` blocks n+2 and n+3.
+    struct Steps {
+        row0: __m256i,
+        row1: __m256i,
+        row2: __m256i,
+        i3a: __m256i,
+        i3b: __m256i,
+    }
+
+    /// Row `i` of the state template in both 128-bit lanes.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn xor_keystream4(words: &mut [u32; 16], buf: &mut [u8]) -> usize {
-        let steps = buf.len() / STEP;
-        if steps == 0 {
-            return 0;
+    fn row(words: &[u32; 16], i: usize) -> __m256i {
+        let w = |j: usize| words[4 * i + j] as i32;
+        _mm256_broadcastsi128_si256(_mm_setr_epi32(w(0), w(1), w(2), w(3)))
+    }
+
+    impl Steps {
+        #[target_feature(enable = "avx2")]
+        fn new(words: &[u32; 16]) -> Steps {
+            let row3 = row(words, 3);
+            Steps {
+                row0: row(words, 0),
+                row1: row(words, 1),
+                row2: row(words, 2),
+                // Counter offsets: low lane = block n, high lane = n+1.
+                i3a: _mm256_add_epi32(row3, _mm256_setr_epi32(0, 0, 0, 0, 1, 0, 0, 0)),
+                i3b: _mm256_add_epi32(row3, _mm256_setr_epi32(2, 0, 0, 0, 3, 0, 0, 0)),
+            }
         }
-        // Byte-shuffle controls for 32-bit lane rotations (same pattern
-        // in both 128-bit lanes).
-        let rot16 = _mm256_setr_epi8(
-            2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13, //
-            2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13,
-        );
-        let rot8 = _mm256_setr_epi8(
-            3, 0, 1, 2, 7, 4, 5, 6, 11, 8, 9, 10, 15, 12, 13, 14, //
-            3, 0, 1, 2, 7, 4, 5, 6, 11, 8, 9, 10, 15, 12, 13, 14,
-        );
 
-        let p = words.as_ptr() as *const __m128i;
-        let row0 = _mm256_broadcastsi128_si256(_mm_loadu_si128(p));
-        let row1 = _mm256_broadcastsi128_si256(_mm_loadu_si128(p.add(1)));
-        let row2 = _mm256_broadcastsi128_si256(_mm_loadu_si128(p.add(2)));
-        let row3 = _mm256_broadcastsi128_si256(_mm_loadu_si128(p.add(3)));
-        // Counter offsets: low lane = block n, high lane = block n+1.
-        let ctr_a = _mm256_setr_epi32(0, 0, 0, 0, 1, 0, 0, 0);
-        let ctr_b = _mm256_setr_epi32(2, 0, 0, 0, 3, 0, 0, 0);
-        let ctr_step = _mm256_setr_epi32(4, 0, 0, 0, 4, 0, 0, 0);
-
-        let mut i3a = _mm256_add_epi32(row3, ctr_a);
-        let mut i3b = _mm256_add_epi32(row3, ctr_b);
-        let mut out = buf.as_mut_ptr() as *mut __m256i;
-
-        for _ in 0..steps {
+        /// The next four keystream blocks, in stream order; the counters
+        /// move on by four (wrapping, as word 12 does).
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn next(&mut self) -> [__m256i; 8] {
+            // Byte-shuffle controls for 32-bit lane rotations (same
+            // pattern in both 128-bit lanes).
+            let rot16 = _mm256_setr_epi8(
+                2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13, //
+                2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13,
+            );
+            let rot8 = _mm256_setr_epi8(
+                3, 0, 1, 2, 7, 4, 5, 6, 11, 8, 9, 10, 15, 12, 13, 14, //
+                3, 0, 1, 2, 7, 4, 5, 6, 11, 8, 9, 10, 15, 12, 13, 14,
+            );
+            let (row0, row1, row2, i3a, i3b) =
+                (self.row0, self.row1, self.row2, self.i3a, self.i3b);
             let (mut a0, mut a1, mut a2, mut a3) = (row0, row1, row2, i3a);
             let (mut b0, mut b1, mut b2, mut b3) = (row0, row1, row2, i3b);
             for _ in 0..10 {
@@ -328,8 +401,11 @@ mod avx2 {
             b1 = _mm256_add_epi32(b1, row1);
             b2 = _mm256_add_epi32(b2, row2);
             b3 = _mm256_add_epi32(b3, i3b);
+            let ctr_step = _mm256_setr_epi32(4, 0, 0, 0, 4, 0, 0, 0);
+            self.i3a = _mm256_add_epi32(i3a, ctr_step);
+            self.i3b = _mm256_add_epi32(i3b, ctr_step);
             // Reassemble per-block streams: low lanes then high lanes.
-            for (j, ks) in [
+            [
                 _mm256_permute2x128_si256(a0, a1, 0x20),
                 _mm256_permute2x128_si256(a2, a3, 0x20),
                 _mm256_permute2x128_si256(a0, a1, 0x31),
@@ -339,18 +415,58 @@ mod avx2 {
                 _mm256_permute2x128_si256(b0, b1, 0x31),
                 _mm256_permute2x128_si256(b2, b3, 0x31),
             ]
-            .into_iter()
-            .enumerate()
-            {
-                let q = out.add(j);
-                _mm256_storeu_si256(q, _mm256_xor_si256(_mm256_loadu_si256(q), ks));
-            }
-            out = out.add(8);
-            i3a = _mm256_add_epi32(i3a, ctr_step);
-            i3b = _mm256_add_epi32(i3b, ctr_step);
         }
-        words[12] = words[12].wrapping_add((steps * 4) as u32);
-        steps * STEP
+
+        /// The next step, stored to the front of `out`.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn store_next(&mut self, out: &mut [u8; MAX_STEP]) {
+            let dst = out.as_mut_ptr().cast::<__m256i>();
+            for (j, ks) in self.next().into_iter().enumerate() {
+                // SAFETY: vector j < 8 covers bytes 32j..32j+32, within
+                // the first STEP ≤ MAX_STEP bytes of `out`; the store is
+                // unaligned.
+                unsafe { _mm256_storeu_si256(dst.add(j), ks) };
+            }
+        }
+    }
+
+    /// XORs keystream over all of `buf`, advancing the counter word past
+    /// every block touched: whole steps in place, then one more step into
+    /// a stack block for the partial tail, exactly as the portable tier
+    /// counts it.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn xor_keystream(words: &mut [u32; 16], buf: &mut [u8]) {
+        let blocks = buf.len().div_ceil(BLOCK_LEN);
+        let mut steps = Steps::new(words);
+        let mut chunks = buf.chunks_exact_mut(STEP);
+        for chunk in &mut chunks {
+            let q = chunk.as_mut_ptr().cast::<__m256i>();
+            for (j, ks) in steps.next().into_iter().enumerate() {
+                // SAFETY: `chunk` is STEP = 8 × 32 bytes, so vector j is
+                // in bounds; the loads and stores are unaligned.
+                unsafe {
+                    let v = _mm256_xor_si256(_mm256_loadu_si256(q.add(j)), ks);
+                    _mm256_storeu_si256(q.add(j), v);
+                }
+            }
+        }
+        let tail = chunks.into_remainder();
+        if !tail.is_empty() {
+            let mut ks = [0u8; MAX_STEP];
+            steps.store_next(&mut ks);
+            xor_bytes(tail, &ks);
+        }
+        words[12] = words[12].wrapping_add(blocks as u32);
+    }
+
+    /// One step from the counter on into `out[..STEP]`; advances the
+    /// counter four blocks and returns STEP.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn keystream(words: &mut [u32; 16], out: &mut [u8; MAX_STEP]) -> usize {
+        Steps::new(words).store_next(out);
+        words[12] = words[12].wrapping_add(4);
+        STEP
     }
 }
 
@@ -358,12 +474,18 @@ mod avx2 {
 /// one block per 128-bit lane (four lanes per register). AVX-512F has a
 /// native 32-bit rotate, so every quarter-round rotation is a single
 /// `vprold`; diagonalization is an in-lane word shuffle, exactly as in
-/// the AVX2 tier.
+/// the AVX2 tier. It takes whole steps only and leaves the remainder to
+/// the AVX2 tier, whose four-block step is the cheaper one below 512
+/// bytes.
+///
+/// The functions are safe to call only from code that has checked for
+/// AVX-512F (the compiler demands `unsafe` at every other call site).
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::BLOCK_LEN;
+    use super::{BLOCK_LEN, MAX_STEP};
     use std::arch::x86_64::*;
 
+    /// Keystream bytes per step (eight blocks).
     const STEP: usize = 8 * BLOCK_LEN;
 
     /// `add, xor, rotate` on one column-round leg of both interleaved
@@ -377,30 +499,45 @@ mod avx512 {
         };
     }
 
-    /// XORs keystream over as many whole 512-byte (eight-block) chunks
-    /// as fit in `buf`, advancing the counter word. Returns bytes
-    /// consumed.
+    /// The state template and the counter rows of the two interleaved
+    /// states: lane k of `a` is block n+k, of `b` block n+4+k.
+    struct Steps {
+        row0: __m512i,
+        row1: __m512i,
+        row2: __m512i,
+        i3a: __m512i,
+        i3b: __m512i,
+    }
+
+    /// Row `i` of the state template in all four 128-bit lanes.
     #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn xor_keystream8(words: &mut [u32; 16], buf: &mut [u8]) -> usize {
-        let steps = buf.len() / STEP;
-        if steps == 0 {
-            return 0;
+    fn row(words: &[u32; 16], i: usize) -> __m512i {
+        let w = |j: usize| words[4 * i + j] as i32;
+        _mm512_broadcast_i32x4(_mm_setr_epi32(w(0), w(1), w(2), w(3)))
+    }
+
+    impl Steps {
+        #[target_feature(enable = "avx512f")]
+        fn new(words: &[u32; 16]) -> Steps {
+            let row3 = row(words, 3);
+            let ctr_a = _mm512_setr_epi32(0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0);
+            let ctr_b = _mm512_setr_epi32(4, 0, 0, 0, 5, 0, 0, 0, 6, 0, 0, 0, 7, 0, 0, 0);
+            Steps {
+                row0: row(words, 0),
+                row1: row(words, 1),
+                row2: row(words, 2),
+                i3a: _mm512_add_epi32(row3, ctr_a),
+                i3b: _mm512_add_epi32(row3, ctr_b),
+            }
         }
-        let p = words.as_ptr() as *const __m128i;
-        let row0 = _mm512_broadcast_i32x4(_mm_loadu_si128(p));
-        let row1 = _mm512_broadcast_i32x4(_mm_loadu_si128(p.add(1)));
-        let row2 = _mm512_broadcast_i32x4(_mm_loadu_si128(p.add(2)));
-        let row3 = _mm512_broadcast_i32x4(_mm_loadu_si128(p.add(3)));
-        // Counter offsets: lane k of state a is block n+k, of b n+4+k.
-        let ctr_a = _mm512_setr_epi32(0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0);
-        let ctr_b = _mm512_setr_epi32(4, 0, 0, 0, 5, 0, 0, 0, 6, 0, 0, 0, 7, 0, 0, 0);
-        let ctr_step = _mm512_setr_epi32(8, 0, 0, 0, 8, 0, 0, 0, 8, 0, 0, 0, 8, 0, 0, 0);
 
-        let mut i3a = _mm512_add_epi32(row3, ctr_a);
-        let mut i3b = _mm512_add_epi32(row3, ctr_b);
-        let mut out = buf.as_mut_ptr() as *mut __m512i;
-
-        for _ in 0..steps {
+        /// The next eight keystream blocks, one whole block per register
+        /// in stream order; the counters move on by eight (wrapping).
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        fn next(&mut self) -> [__m512i; 8] {
+            let (row0, row1, row2, i3a, i3b) =
+                (self.row0, self.row1, self.row2, self.i3a, self.i3b);
             let (mut a0, mut a1, mut a2, mut a3) = (row0, row1, row2, i3a);
             let (mut b0, mut b1, mut b2, mut b3) = (row0, row1, row2, i3b);
             for _ in 0..10 {
@@ -448,38 +585,83 @@ mod avx512 {
             b1 = _mm512_add_epi32(b1, row1);
             b2 = _mm512_add_epi32(b2, row2);
             b3 = _mm512_add_epi32(b3, i3b);
-            // Transpose the 4×4 grid of 128-bit lanes so each register
+            let ctr_step = _mm512_setr_epi32(8, 0, 0, 0, 8, 0, 0, 0, 8, 0, 0, 0, 8, 0, 0, 0);
+            self.i3a = _mm512_add_epi32(i3a, ctr_step);
+            self.i3b = _mm512_add_epi32(i3b, ctr_step);
+            // Transpose each 4×4 grid of 128-bit lanes so every register
             // holds one whole block's sixteen words in stream order.
+            let mut out = [a0; 8];
             for (base, (r0, r1, r2, r3)) in [(0, (a0, a1, a2, a3)), (4, (b0, b1, b2, b3))] {
                 let t0 = _mm512_shuffle_i32x4::<0x44>(r0, r1);
                 let t1 = _mm512_shuffle_i32x4::<0x44>(r2, r3);
                 let t2 = _mm512_shuffle_i32x4::<0xEE>(r0, r1);
                 let t3 = _mm512_shuffle_i32x4::<0xEE>(r2, r3);
-                for (j, ks) in [
-                    _mm512_shuffle_i32x4::<0x88>(t0, t1),
-                    _mm512_shuffle_i32x4::<0xDD>(t0, t1),
-                    _mm512_shuffle_i32x4::<0x88>(t2, t3),
-                    _mm512_shuffle_i32x4::<0xDD>(t2, t3),
-                ]
-                .into_iter()
-                .enumerate()
-                {
-                    let q = out.add(base + j);
-                    _mm512_storeu_si512(q, _mm512_xor_si512(_mm512_loadu_si512(q), ks));
+                out[base] = _mm512_shuffle_i32x4::<0x88>(t0, t1);
+                out[base + 1] = _mm512_shuffle_i32x4::<0xDD>(t0, t1);
+                out[base + 2] = _mm512_shuffle_i32x4::<0x88>(t2, t3);
+                out[base + 3] = _mm512_shuffle_i32x4::<0xDD>(t2, t3);
+            }
+            out
+        }
+    }
+
+    /// XORs keystream over as many whole 512-byte (eight-block) chunks
+    /// as fit in `buf`, advancing the counter word. Returns bytes
+    /// consumed.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn xor_steps(words: &mut [u32; 16], buf: &mut [u8]) -> usize {
+        let mut steps = Steps::new(words);
+        let mut done = 0;
+        for chunk in buf.chunks_exact_mut(STEP) {
+            let q = chunk.as_mut_ptr().cast::<__m512i>();
+            for (j, ks) in steps.next().into_iter().enumerate() {
+                // SAFETY: `chunk` is STEP = 8 × 64 bytes, so vector j is
+                // in bounds; the loads and stores are unaligned.
+                unsafe {
+                    let v = _mm512_xor_si512(_mm512_loadu_si512(q.add(j)), ks);
+                    _mm512_storeu_si512(q.add(j), v);
                 }
             }
-            out = out.add(8);
-            i3a = _mm512_add_epi32(i3a, ctr_step);
-            i3b = _mm512_add_epi32(i3b, ctr_step);
+            done += STEP;
         }
-        words[12] = words[12].wrapping_add((steps * 8) as u32);
-        steps * STEP
+        words[12] = words[12].wrapping_add((done / BLOCK_LEN) as u32);
+        done
     }
+
+    /// One step from the counter on into `out`; advances the counter
+    /// eight blocks and returns STEP.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn keystream(words: &mut [u32; 16], out: &mut [u8; MAX_STEP]) -> usize {
+        let dst = out.as_mut_ptr().cast::<__m512i>();
+        for (j, ks) in Steps::new(words).next().into_iter().enumerate() {
+            // SAFETY: `out` is MAX_STEP = 8 × 64 bytes, so vector j is in
+            // bounds; the store is unaligned.
+            unsafe { _mm512_storeu_si512(dst.add(j), ks) };
+        }
+        words[12] = words[12].wrapping_add(8);
+        STEP
+    }
+}
+
+/// Lengths around every keystream step and tail boundary of every
+/// tier, and the AEAD's MAC-run boundaries: the tier tests' length set.
+#[cfg(test)]
+pub(crate) fn boundary_lengths() -> Vec<usize> {
+    let mut lens: Vec<usize> = (0..=1100).collect();
+    for base in [4096usize, 8192] {
+        for d in [
+            1usize, 15, 16, 17, 63, 64, 65, 191, 192, 193, 447, 448, 449, 511, 512, 513,
+        ] {
+            lens.extend([base - d, base + d]);
+        }
+    }
+    lens
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sfs_bignum::{RandomSource, XorShiftSource};
 
     fn hex(s: &str) -> Vec<u8> {
         s.split_whitespace()
@@ -557,52 +739,135 @@ offer you only one tip for the future, sunscreen would be it.";
         assert_eq!(split, whole);
     }
 
-    #[test]
+    /// One keystream tier, run over a whole buffer from a state.
+    type XorFn = fn(&mut [u32; 16], &mut [u8]);
+    /// One tier's single step into a stack block; returns its length.
+    type StepFn = fn(&mut ChaCha20, &mut [u8; MAX_STEP]) -> usize;
+
+    fn portable_xor(words: &mut [u32; 16], buf: &mut [u8]) {
+        let mut c = ChaCha20 { words: *words };
+        c.xor_keystream_portable(buf);
+        *words = c.words;
+    }
+
     #[cfg(target_arch = "x86_64")]
-    fn avx2_tier_matches_portable_tier() {
-        if !std::arch::is_x86_feature_detected!("avx2") {
-            return;
+    fn avx2_xor(words: &mut [u32; 16], buf: &mut [u8]) {
+        assert!(std::arch::is_x86_feature_detected!("avx2"));
+        // SAFETY: AVX2 presence is asserted just above.
+        unsafe { avx2::xor_keystream(words, buf) }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    fn avx512_xor(words: &mut [u32; 16], buf: &mut [u8]) {
+        assert!(has_avx512());
+        // SAFETY: AVX-512F and AVX2 presence is asserted just above.
+        unsafe {
+            let done = avx512::xor_steps(words, buf);
+            avx2::xor_keystream(words, &mut buf[done..]);
         }
-        let key = test_key();
-        let nonce = [9u8; NONCE_LEN];
-        for len in [256usize, 512, 1024, 4096] {
-            let mut fast = vec![0x3Cu8; len];
-            // SAFETY: avx2 presence checked above.
-            let mut words = ChaCha20::new(&key, &nonce, 1).words;
-            let done = unsafe { avx2::xor_keystream4(&mut words, &mut fast) };
-            assert_eq!(done, len);
-            let mut portable = vec![0x3Cu8; len];
-            ChaCha20::new(&key, &nonce, 1).xor_keystream_portable(&mut portable);
-            assert_eq!(fast, portable, "len {len}");
-            assert_eq!(words[12], 1 + (len / BLOCK_LEN) as u32);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    fn avx2_step(c: &mut ChaCha20, out: &mut [u8; MAX_STEP]) -> usize {
+        assert!(std::arch::is_x86_feature_detected!("avx2"));
+        // SAFETY: AVX2 presence is asserted just above.
+        unsafe { avx2::keystream(&mut c.words, out) }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    fn avx512_step(c: &mut ChaCha20, out: &mut [u8; MAX_STEP]) -> usize {
+        assert!(has_avx512());
+        // SAFETY: AVX-512F presence is asserted just above.
+        unsafe { avx512::keystream(&mut c.words, out) }
+    }
+
+    /// Every tier this host can run, portable (the reference) first.
+    fn tiers() -> Vec<(&'static str, XorFn, StepFn)> {
+        let mut tiers: Vec<(&'static str, XorFn, StepFn)> =
+            vec![("portable", portable_xor, ChaCha20::keystream_step_portable)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                tiers.push(("avx2", avx2_xor, avx2_step));
+            }
+            if has_avx512() {
+                tiers.push(("avx512", avx512_xor, avx512_step));
+            }
+        }
+        tiers
+    }
+
+    /// Holds the tier named `tier` (when the host has it) to the
+    /// portable tier, byte for byte and in the final counter word.
+    fn assert_tier_matches_portable(tier: &str) {
+        let Some(&(_, xor, _)) = tiers().iter().find(|t| t.0 == tier) else {
+            return; // not on this host
+        };
+        let mut rng = XorShiftSource::new(0xC4AC_4A20);
+        let mut key = [0u8; KEY_LEN];
+        let mut nonce = [0u8; NONCE_LEN];
+        for len in boundary_lengths() {
+            // All-ones inputs on every 7th length; a start counter near
+            // the top on every other one, so word 12 wraps mid-buffer
+            // (inside a tail once the buffer passes five blocks).
+            let ones = len % 7 == 0;
+            if ones {
+                key = [0xff; KEY_LEN];
+                nonce = [0xff; NONCE_LEN];
+            } else {
+                rng.fill(&mut key);
+                rng.fill(&mut nonce);
+            }
+            let counter = if len % 2 == 0 { u32::MAX - 5 } else { 1 };
+            let mut msg = vec![0xffu8; len];
+            if !ones {
+                rng.fill(&mut msg);
+            }
+            let start = ChaCha20::new(&key, &nonce, counter).words;
+            let mut want = msg.clone();
+            let mut want_words = start;
+            portable_xor(&mut want_words, &mut want);
+            let mut got = msg;
+            let mut words = start;
+            xor(&mut words, &mut got);
+            assert!(got == want, "{tier} len {len} counter {counter}");
+            assert_eq!(words, want_words, "{tier} len {len} counter {counter}");
         }
     }
 
     #[test]
-    #[cfg(target_arch = "x86_64")]
+    fn avx2_tier_matches_portable_tier() {
+        assert_tier_matches_portable("avx2");
+    }
+
+    #[test]
     fn avx512_tier_matches_portable_tier() {
-        if !std::arch::is_x86_feature_detected!("avx512f") {
-            return;
+        assert_tier_matches_portable("avx512");
+    }
+
+    #[test]
+    fn every_tier_step_is_its_keystream_prefix() {
+        let key = [0xffu8; KEY_LEN];
+        let nonce = [0x5au8; NONCE_LEN];
+        for counter in [0, 1, u32::MAX - 5] {
+            for (name, _, step) in tiers() {
+                let mut c = ChaCha20::new(&key, &nonce, counter);
+                let mut out = [0u8; MAX_STEP];
+                let n = step(&mut c, &mut out);
+                let mut want = vec![0u8; n];
+                let mut words = ChaCha20::new(&key, &nonce, counter).words;
+                portable_xor(&mut words, &mut want);
+                assert_eq!(out[..n], want[..], "{name} counter {counter}");
+                assert_eq!(c.words, words, "{name} counter {counter}");
+            }
         }
-        let key = test_key();
-        let nonce = [11u8; NONCE_LEN];
-        for len in [512usize, 1024, 4096, 8192] {
-            let mut fast = vec![0x5Eu8; len];
-            // SAFETY: avx512f presence checked above.
-            let mut words = ChaCha20::new(&key, &nonce, 1).words;
-            let done = unsafe { avx512::xor_keystream8(&mut words, &mut fast) };
-            assert_eq!(done, len);
-            let mut portable = vec![0x5Eu8; len];
-            ChaCha20::new(&key, &nonce, 1).xor_keystream_portable(&mut portable);
-            assert_eq!(fast, portable, "len {len}");
-            assert_eq!(words[12], 1 + (len / BLOCK_LEN) as u32);
-        }
-        // Sub-step buffers are left for the narrower tiers.
-        let mut words = ChaCha20::new(&key, &nonce, 1).words;
-        assert_eq!(
-            unsafe { avx512::xor_keystream8(&mut words, &mut [0u8; 511]) },
-            0
-        );
+        // The dispatching entry point takes the widest step there is.
+        let mut c = ChaCha20::new(&key, &nonce, 0);
+        let widest = tiers().last().map(|&(_, _, step)| step).unwrap();
+        let (mut a, mut b) = ([0u8; MAX_STEP], [0u8; MAX_STEP]);
+        let n = c.keystream_step(&mut a);
+        assert_eq!(widest(&mut ChaCha20::new(&key, &nonce, 0), &mut b), n);
+        assert_eq!(a[..n], b[..n]);
     }
 
     #[test]

@@ -1,17 +1,20 @@
 //! The ChaCha20-Poly1305 AEAD construction (RFC 8439 §2.8).
 //!
-//! This is the negotiated fast suite for the secure channel: a single
-//! pass seals plaintext in place (encrypt a cache-resident chunk, then
-//! immediately absorb its ciphertext into the MAC), and `open_in_place`
-//! verifies the tag over the ciphertext *before* decrypting — nothing
-//! derived from a forged frame is ever interpreted.
+//! This is the negotiated fast suite for the secure channel. One wide
+//! keystream step at counter 0 yields both the Poly1305 one-time key
+//! (block 0) and the first payload keystream (blocks 1…), so a short
+//! frame costs a single step. `seal_in_place` encrypts the whole frame,
+//! then MACs it in one run (an 8 KiB frame stays in L1, and the vector
+//! Poly1305 wants long runs); `open_in_place` verifies the tag over the
+//! ciphertext *before* decrypting — nothing derived from a forged frame
+//! is ever interpreted.
 //!
 //! The same construction seals session-resumption tickets: unlike the
 //! channel's per-direction ARC4 streams, an AEAD with an explicit nonce
 //! is safe under one long-lived key across many independent tickets.
 
-use crate::chacha20::{self, ChaCha20};
-use crate::poly1305::Poly1305;
+use crate::chacha20::{xor_bytes, ChaCha20, BLOCK_LEN, MAX_STEP};
+use crate::poly1305::{self, Poly1305};
 
 /// Key length in bytes.
 pub const KEY_LEN: usize = 32;
@@ -19,11 +22,6 @@ pub const KEY_LEN: usize = 32;
 pub const NONCE_LEN: usize = 12;
 /// Authenticator tag length in bytes.
 pub const TAG_LEN: usize = 16;
-
-/// Chunk granularity for the fused encrypt-then-MAC sweep: a multiple of
-/// both the ChaCha wide step (256) and the Poly1305 block (16), small
-/// enough that the chunk is still in L1 when the MAC re-reads it.
-const SWEEP_LEN: usize = 512;
 
 /// Authentication failure. Deliberately carries no detail: a forged tag
 /// and a truncated frame must be indistinguishable to the peer.
@@ -38,23 +36,52 @@ impl std::fmt::Display for AeadError {
 
 impl std::error::Error for AeadError {}
 
-/// Derives the Poly1305 one-time key for this nonce (§2.6): the first 32
-/// bytes of ChaCha20 block 0.
-fn one_time_key(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN]) -> [u8; 32] {
-    let block = chacha20::keystream_block(key, nonce, 0);
-    let mut otk = [0u8; 32];
-    otk.copy_from_slice(&block[..32]);
-    otk
+/// The keystream's first step at counter 0, one step of the widest tier
+/// the CPU has: block 0 holds the Poly1305 one-time key (§2.6), blocks
+/// 1… the payload's first keystream (§2.8).
+struct FirstStep {
+    /// Positioned at the block after the step.
+    cipher: ChaCha20,
+    ks: [u8; MAX_STEP],
+    len: usize,
 }
 
-/// Absorbs the §2.8 AEAD trailer: pad16(ciphertext) ‖ len(aad) ‖ len(ct).
-fn absorb_lengths(poly: &mut Poly1305, aad_len: usize, ct_len: usize) {
-    let pad = (16 - ct_len % 16) % 16;
-    poly.update(&[0u8; 16][..pad]);
+impl FirstStep {
+    fn new(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN]) -> FirstStep {
+        let mut cipher = ChaCha20::new(key, nonce, 0);
+        let mut ks = [0u8; MAX_STEP];
+        let len = cipher.keystream_step(&mut ks);
+        FirstStep { cipher, ks, len }
+    }
+
+    /// The MAC keyed with the first 32 bytes of block 0.
+    fn poly(&self) -> Poly1305 {
+        let (otk, _) = self
+            .ks
+            .split_first_chunk::<{ poly1305::KEY_LEN }>()
+            .expect("a step holds a key");
+        Poly1305::new(otk)
+    }
+
+    /// XORs the payload keystream over `buf`: the step's own blocks
+    /// first, then the cipher from the block after them.
+    fn xor_payload(mut self, buf: &mut [u8]) {
+        let head_ks = &self.ks[BLOCK_LEN..self.len];
+        let (head, rest) = buf.split_at_mut(buf.len().min(head_ks.len()));
+        xor_bytes(head, head_ks);
+        self.cipher.xor_keystream(rest);
+    }
+}
+
+/// Finishes the §2.8 tag: pad16(aad) ‖ pad16(ct) ‖ len(aad) ‖ len(ct).
+fn finish_tag(mut poly: Poly1305, aad: &[u8], ct: &[u8]) -> [u8; TAG_LEN] {
+    poly.update_padded(aad);
+    poly.update_padded(ct);
     let mut lens = [0u8; 16];
-    lens[..8].copy_from_slice(&(aad_len as u64).to_le_bytes());
-    lens[8..].copy_from_slice(&(ct_len as u64).to_le_bytes());
+    lens[..8].copy_from_slice(&(aad.len() as u64).to_le_bytes());
+    lens[8..].copy_from_slice(&(ct.len() as u64).to_le_bytes());
     poly.update(&lens);
+    poly.finish()
 }
 
 /// Encrypts `buf` in place and returns the tag over `aad` and the
@@ -65,16 +92,10 @@ pub fn seal_in_place(
     aad: &[u8],
     buf: &mut [u8],
 ) -> [u8; TAG_LEN] {
-    let mut poly = Poly1305::new(&one_time_key(key, nonce));
-    poly.update_padded(aad);
-    let mut cipher = ChaCha20::new(key, nonce, 1);
-    // Fused sweep: each chunk is encrypted and MACed while hot in cache.
-    for chunk in buf.chunks_mut(SWEEP_LEN) {
-        cipher.xor_keystream(chunk);
-        poly.update(chunk);
-    }
-    absorb_lengths(&mut poly, aad.len(), buf.len());
-    poly.finish()
+    let first = FirstStep::new(key, nonce);
+    let poly = first.poly();
+    first.xor_payload(buf);
+    finish_tag(poly, aad, buf)
 }
 
 /// Verifies `tag` over `aad` and the ciphertext in `buf`, then decrypts
@@ -86,11 +107,8 @@ pub fn open_in_place(
     buf: &mut [u8],
     tag: &[u8],
 ) -> Result<(), AeadError> {
-    let mut poly = Poly1305::new(&one_time_key(key, nonce));
-    poly.update_padded(aad);
-    poly.update(buf);
-    absorb_lengths(&mut poly, aad.len(), buf.len());
-    let expected = poly.finish();
+    let first = FirstStep::new(key, nonce);
+    let expected = finish_tag(first.poly(), aad, buf);
     // Constant-time comparison: fold every byte difference before testing.
     if tag.len() != TAG_LEN {
         return Err(AeadError);
@@ -102,7 +120,7 @@ pub fn open_in_place(
     if diff != 0 {
         return Err(AeadError);
     }
-    ChaCha20::new(key, nonce, 1).xor_keystream(buf);
+    first.xor_payload(buf);
     Ok(())
 }
 
@@ -135,6 +153,8 @@ pub fn open(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chacha20::{boundary_lengths, keystream_block};
+    use sfs_bignum::{RandomSource, XorShiftSource};
 
     fn rfc_key() -> [u8; 32] {
         core::array::from_fn(|i| 0x80 + i as u8)
@@ -165,10 +185,10 @@ offer you only one tip for the future, sunscreen would be it.";
         // §2.6.2.
         let key: [u8; 32] = core::array::from_fn(|i| 0x80 + i as u8);
         let nonce = [0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7];
-        let otk = one_time_key(&key, &nonce);
+        let otk = FirstStep::new(&key, &nonce).ks[..32].to_vec();
         let expected = hex("8a d5 a0 8b 90 5f 81 cc 81 50 40 27 4a b2 94 71
              a8 33 b6 37 e3 fd 0d a5 08 db b8 e2 fd d1 a6 46");
-        assert_eq!(otk.to_vec(), expected);
+        assert_eq!(otk, expected);
     }
 
     #[test]
@@ -238,5 +258,93 @@ offer you only one tip for the future, sunscreen would be it.";
             assert_eq!(opened, plaintext, "len {len}");
         }
         assert_eq!(open(&key, &[0u8; 12], b"", &[0u8; 15]), Err(AeadError));
+    }
+
+    /// The AEAD composed from reference parts: the one-time key from
+    /// `keystream_block`, the payload XORed one portable block at a time,
+    /// and scalar Poly1305 fed 16 bytes at a time over pad16(aad) ‖
+    /// pad16(ct) ‖ lengths.
+    fn reference_seal(
+        key: &[u8; KEY_LEN],
+        nonce: &[u8; NONCE_LEN],
+        aad: &[u8],
+        plaintext: &[u8],
+    ) -> (Vec<u8>, [u8; TAG_LEN]) {
+        let block0 = keystream_block(key, nonce, 0);
+        let mut ct = plaintext.to_vec();
+        for (i, chunk) in ct.chunks_mut(BLOCK_LEN).enumerate() {
+            let ks = keystream_block(key, nonce, 1 + i as u32);
+            for (b, k) in chunk.iter_mut().zip(ks) {
+                *b ^= k;
+            }
+        }
+        let mut mac_input = aad.to_vec();
+        mac_input.resize(aad.len().next_multiple_of(16), 0);
+        mac_input.extend_from_slice(&ct);
+        mac_input.resize(mac_input.len().next_multiple_of(16), 0);
+        mac_input.extend_from_slice(&(aad.len() as u64).to_le_bytes());
+        mac_input.extend_from_slice(&(ct.len() as u64).to_le_bytes());
+        let mut poly = Poly1305::new(block0[..32].try_into().unwrap());
+        for chunk in mac_input.chunks(16) {
+            poly.update(chunk);
+        }
+        (ct, poly.finish())
+    }
+
+    #[test]
+    fn seal_and_open_match_the_reference_composition() {
+        let mut rng = XorShiftSource::new(0xAEAD_8439);
+        let mut aad_bytes = [0u8; 33];
+        rng.fill(&mut aad_bytes);
+        for len in boundary_lengths() {
+            for aad_len in [0usize, 12, 33] {
+                // All-ones keys and messages (maximum carries) on every
+                // fifth length.
+                let mut key = [0xffu8; KEY_LEN];
+                let mut nonce = [0xffu8; NONCE_LEN];
+                let mut msg = vec![0xffu8; len];
+                if len % 5 != 0 {
+                    rng.fill(&mut key);
+                    rng.fill(&mut nonce);
+                    rng.fill(&mut msg);
+                }
+                let aad = &aad_bytes[..aad_len];
+                let (want_ct, want_tag) = reference_seal(&key, &nonce, aad, &msg);
+                let mut buf = msg.clone();
+                let tag = seal_in_place(&key, &nonce, aad, &mut buf);
+                assert!(buf == want_ct, "ciphertext, len {len} aad {aad_len}");
+                assert_eq!(tag, want_tag, "tag, len {len} aad {aad_len}");
+                open_in_place(&key, &nonce, aad, &mut buf, &tag).expect("authentic");
+                assert!(buf == msg, "plaintext, len {len} aad {aad_len}");
+            }
+        }
+    }
+
+    #[test]
+    fn tamper_at_every_byte_is_rejected_and_leaves_the_buffer() {
+        let mut rng = XorShiftSource::new(0x7A3_9E2);
+        let mut key = [0u8; KEY_LEN];
+        rng.fill(&mut key);
+        let nonce = [0x42u8; NONCE_LEN];
+        let aad = b"frame header";
+        for len in 0..=200usize {
+            let mut ct = vec![0u8; len];
+            rng.fill(&mut ct);
+            let tag = seal_in_place(&key, &nonce, aad, &mut ct);
+            let mut frame = ct.clone();
+            frame.extend_from_slice(&tag);
+            for at in 0..frame.len() {
+                let mut forged = frame.clone();
+                forged[at] ^= 1 << (at % 8);
+                let (body, forged_tag) = forged.split_at_mut(len);
+                let before = body.to_vec();
+                assert_eq!(
+                    open_in_place(&key, &nonce, aad, body, forged_tag),
+                    Err(AeadError),
+                    "len {len} byte {at}"
+                );
+                assert!(body == before, "buffer touched, len {len} byte {at}");
+            }
+        }
     }
 }

@@ -26,13 +26,18 @@
 //! suite — the paper's separation of key management from the transport
 //! cipher (§3) is exactly what makes the cipher swappable:
 //!
-//! - [`chacha20`]: the ChaCha20 stream cipher (RFC 8439), four blocks at
-//!   a time in an auto-vectorizable lane layout.
-//! - [`poly1305`]: the Poly1305 one-time authenticator, 44-bit limbs on
-//!   `u128` products.
+//! - [`chacha20`]: the ChaCha20 stream cipher (RFC 8439): AVX-512 (eight
+//!   blocks per step) and AVX2 (four, finishing every tail) tiers chosen
+//!   by CPU detection, over a portable two-block tier for other hosts.
+//! - [`poly1305`]: the Poly1305 one-time authenticator: scalar 44-bit
+//!   limbs on `u128` products, and a four-lane AVX2 tier for runs of
+//!   256 bytes and more.
 //! - [`chachapoly`]: the ChaCha20-Poly1305 AEAD composing the two, with
+//!   the one-time key taken from the first payload keystream step,
 //!   in-place seal/open for the zero-copy channel path and a detached
 //!   frame form for sealing session-resumption tickets.
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod arc4;
 pub mod blowfish;

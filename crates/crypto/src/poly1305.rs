@@ -13,6 +13,12 @@
 //! path takes blocks two at a time as `(h + m₁)·r² + m₂·r`: the multiply
 //! count is unchanged but the two products are independent (so they
 //! pipeline) and one carry chain serves both blocks.
+//!
+//! On hosts with AVX2, block-aligned runs of 256 bytes or more take a
+//! vector tier ([`avx2`]) that spreads the blocks over four lanes of
+//! 26-bit limbs; the scalar tier finishes the short tail and every
+//! other message, and is the reference the vector tier is tested
+//! against.
 
 /// Authenticator tag length in bytes.
 pub const TAG_LEN: usize = 16;
@@ -23,6 +29,11 @@ pub const BLOCK_LEN: usize = 16;
 
 const MASK44: u64 = (1 << 44) - 1;
 const MASK42: u64 = (1 << 42) - 1;
+
+/// Block-aligned runs at least this long take the vector tier; shorter
+/// ones would spend more on its set-up (r³, r⁴, the final lane fold)
+/// than it saves.
+const VECTOR_MIN: usize = 256;
 
 /// Schoolbook 3-limb multiply mod 2^130−5 with the reduction folded in:
 /// `bs` holds `[20·b1, 20·b2]` (2^132 ≡ 20 at this radix). Returns the
@@ -145,7 +156,13 @@ impl Poly1305 {
     }
 
     /// Absorbs message bytes.
-    pub fn update(&mut self, mut data: &[u8]) {
+    pub fn update(&mut self, data: &[u8]) {
+        self.update_with(true, data);
+    }
+
+    /// [`Self::update`], with the vector tier allowed or not: tests pin
+    /// each tier; everything else allows it.
+    fn update_with(&mut self, vector: bool, mut data: &[u8]) {
         if self.buffered > 0 {
             let take = (BLOCK_LEN - self.buffered).min(data.len());
             self.buf[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
@@ -158,6 +175,15 @@ impl Poly1305 {
             self.block(&block, 1 << 40);
             self.buffered = 0;
         }
+        #[cfg(target_arch = "x86_64")]
+        if vector && data.len() >= VECTOR_MIN && std::arch::is_x86_feature_detected!("avx2") {
+            let n = data.len() - data.len() % avx2::STEP;
+            // SAFETY: AVX2 presence is checked just above.
+            self.h = unsafe { avx2::blocks(self.h, self.r, self.r2, &data[..n]) };
+            data = &data[n..];
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = vector;
         let mut pairs = data.chunks_exact(2 * BLOCK_LEN);
         for p in &mut pairs {
             self.block_pair(p);
@@ -245,6 +271,219 @@ impl Poly1305 {
     }
 }
 
+/// Four lanes of five 26-bit limbs in 256-bit registers: lane j takes
+/// every fourth block, so a 64-byte step is one Horner step by r⁴ per
+/// lane, `_mm256_mul_epu32` forms every 26×26-bit product, and the
+/// lanes fold together once at the end, each by its own power of r.
+///
+/// The functions are safe to call only from code that has checked for
+/// AVX2 (the compiler demands `unsafe` at every other call site).
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::{carry3, mul3};
+    use std::arch::x86_64::*;
+
+    /// Bytes per vector step: one 16-byte block per lane.
+    pub(super) const STEP: usize = 64;
+
+    const M26: u64 = (1 << 26) - 1;
+
+    /// 44/44/42 limbs to 26-bit limbs, one scalar limb at a time: bit 44
+    /// is bit 18 of limb 1, bit 88 is bit 10 of limb 3. Every bit keeps
+    /// its weight, so limbs over their nominal width (carries in flight)
+    /// convert exactly; the value never passes through a wider integer.
+    fn to26(h: [u64; 3]) -> [u64; 5] {
+        carry26([
+            h[0] & M26,
+            (h[0] >> 26) + ((h[1] << 18) & M26),
+            (h[1] >> 8) & M26,
+            (h[1] >> 34) + ((h[2] << 10) & M26),
+            h[2] >> 16,
+        ])
+    }
+
+    /// Carries 26-bit limbs until each is below 2^26, limb 1 aside (it may
+    /// keep a small carry); the top limb's spill re-enters at ×5.
+    fn carry26(mut l: [u64; 5]) -> [u64; 5] {
+        for i in 0..4 {
+            l[i + 1] += l[i] >> 26;
+            l[i] &= M26;
+        }
+        l[0] += 5 * (l[4] >> 26);
+        l[4] &= M26;
+        l[1] += l[0] >> 26;
+        l[0] &= M26;
+        l
+    }
+
+    /// Carried 26-bit limbs back to the scalar 44/44/42 state, limb by
+    /// limb; the top limb's spill past bit 130 re-enters at ×5.
+    fn from26(l: [u64; 5]) -> [u64; 3] {
+        let mut acc = l[0] + (l[1] << 26);
+        let h0 = acc & super::MASK44;
+        acc = (acc >> 44) + (l[2] << 8) + (l[3] << 34);
+        let h1 = acc & super::MASK44;
+        let h2 = (acc >> 44) + (l[4] << 16);
+        [h0 + 5 * (h2 >> 42), h1, h2 & super::MASK42]
+    }
+
+    /// One multiplier, per lane: its limbs, and limbs 1–4 times 5 for the
+    /// columns that wrap past 2^130 (2^130 ≡ 5).
+    struct Factor {
+        b: [__m256i; 5],
+        b5: [__m256i; 4],
+    }
+
+    impl Factor {
+        /// Lane j multiplies by `lanes[j]` (carried 26-bit limbs).
+        #[target_feature(enable = "avx2")]
+        fn new(lanes: [[u64; 5]; 4]) -> Factor {
+            let mut f = Factor {
+                b: [_mm256_setzero_si256(); 5],
+                b5: [_mm256_setzero_si256(); 4],
+            };
+            for i in 0..5 {
+                let [w, x, y, z] = lanes.map(|l| l[i] as i64);
+                f.b[i] = _mm256_setr_epi64x(w, x, y, z);
+                if i > 0 {
+                    f.b5[i - 1] = _mm256_setr_epi64x(5 * w, 5 * x, 5 * y, 5 * z);
+                }
+            }
+            // Hide b5 = 5·b from the optimizer: seeing it, LLVM factors
+            // a·5b + c·b into (5a + c)·b, a 64×32-bit product that costs
+            // three `vpmuludq` in place of one.
+            std::hint::black_box(f)
+        }
+    }
+
+    /// `acc + x·y` on the low 32 bits of every lane.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn madd(acc: __m256i, x: __m256i, y: __m256i) -> __m256i {
+        _mm256_add_epi64(acc, _mm256_mul_epu32(x, y))
+    }
+
+    /// Schoolbook 5×5 limb product mod 2^130 − 5, unreduced. Carried
+    /// inputs (limbs under 2^26 + 2^11) keep every column under 2^57.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn mul(a: &[__m256i; 5], f: &Factor) -> [__m256i; 5] {
+        let [a0, a1, a2, a3, a4] = *a;
+        let [b0, b1, b2, b3, b4] = f.b;
+        let [c1, c2, c3, c4] = f.b5;
+        let m = _mm256_mul_epu32;
+        [
+            madd(madd(madd(madd(m(a0, b0), a1, c4), a2, c3), a3, c2), a4, c1),
+            madd(madd(madd(madd(m(a0, b1), a1, b0), a2, c4), a3, c3), a4, c2),
+            madd(madd(madd(madd(m(a0, b2), a1, b1), a2, b0), a3, c4), a4, c3),
+            madd(madd(madd(madd(m(a0, b3), a1, b2), a2, b1), a3, b0), a4, c4),
+            madd(madd(madd(madd(m(a0, b4), a1, b3), a2, b2), a3, b1), a4, b0),
+        ]
+    }
+
+    /// Carries unreduced columns (each under 2^60) back to limbs under
+    /// 2^26 + 2^11, two chains at a time: 3→4 with 0→1, 4→0 with 1→2,
+    /// 2→3 with 0→1, then 3→4.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn carry(d: [__m256i; 5]) -> [__m256i; 5] {
+        let mask = _mm256_set1_epi64x(M26 as i64);
+        let [mut d0, mut d1, mut d2, mut d3, mut d4] = d;
+        let c = _mm256_srli_epi64(d3, 26);
+        d3 = _mm256_and_si256(d3, mask);
+        d4 = _mm256_add_epi64(d4, c);
+        let c = _mm256_srli_epi64(d0, 26);
+        d0 = _mm256_and_si256(d0, mask);
+        d1 = _mm256_add_epi64(d1, c);
+        let c = _mm256_srli_epi64(d4, 26);
+        d4 = _mm256_and_si256(d4, mask);
+        d0 = _mm256_add_epi64(d0, _mm256_add_epi64(c, _mm256_slli_epi64(c, 2)));
+        let c = _mm256_srli_epi64(d1, 26);
+        d1 = _mm256_and_si256(d1, mask);
+        d2 = _mm256_add_epi64(d2, c);
+        let c = _mm256_srli_epi64(d2, 26);
+        d2 = _mm256_and_si256(d2, mask);
+        d3 = _mm256_add_epi64(d3, c);
+        let c = _mm256_srli_epi64(d0, 26);
+        d0 = _mm256_and_si256(d0, mask);
+        d1 = _mm256_add_epi64(d1, c);
+        let c = _mm256_srli_epi64(d3, 26);
+        d3 = _mm256_and_si256(d3, mask);
+        d4 = _mm256_add_epi64(d4, c);
+        [d0, d1, d2, d3, d4]
+    }
+
+    /// Four 16-byte blocks as limbs with the 2^128 marker set. The
+    /// 64-bit unpacks leave the lanes holding blocks 0, 2, 1, 3.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn load(m: &[u8; STEP]) -> [__m256i; 5] {
+        let p = m.as_ptr().cast::<__m256i>();
+        // SAFETY: `m` is 64 bytes, two unaligned 32-byte loads.
+        let (x, y) = unsafe { (_mm256_loadu_si256(p), _mm256_loadu_si256(p.add(1))) };
+        let lo = _mm256_unpacklo_epi64(x, y);
+        let hi = _mm256_unpackhi_epi64(x, y);
+        let mask = _mm256_set1_epi64x(M26 as i64);
+        [
+            _mm256_and_si256(lo, mask),
+            _mm256_and_si256(_mm256_srli_epi64(lo, 26), mask),
+            _mm256_and_si256(
+                _mm256_or_si256(_mm256_srli_epi64(lo, 52), _mm256_slli_epi64(hi, 12)),
+                mask,
+            ),
+            _mm256_and_si256(_mm256_srli_epi64(hi, 14), mask),
+            _mm256_or_si256(_mm256_srli_epi64(hi, 40), _mm256_set1_epi64x(1 << 24)),
+        ]
+    }
+
+    /// Absorbs `m` (a nonzero multiple of 64 bytes, every block full)
+    /// into the scalar accumulator `h`, given `r` and `r²` in 44/44/42
+    /// limbs, and returns the new accumulator.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn blocks(h: [u64; 3], r: [u64; 3], r2: [u64; 3], m: &[u8]) -> [u64; 3] {
+        debug_assert!(!m.is_empty() && m.len().is_multiple_of(STEP));
+        let r3 = carry3(mul3(r2, r, [20 * r[1], 20 * r[2]]));
+        let r4 = carry3(mul3(r2, r2, [20 * r2[1], 20 * r2[2]]));
+        let [r1, r2, r3, r4] = [r, r2, r3, r4].map(to26);
+        let step = Factor::new([r4; 4]);
+        // Lanes hold blocks 0, 2, 1, 3 of the last step (see `load`).
+        let fold = Factor::new([r4, r2, r3, r1]);
+
+        // The loop carries each lane's accumulator unreduced and carries
+        // it just before it is multiplied. (Carried ahead instead, the
+        // limbs' masks fold into the loop's phi, and LLVM, no longer
+        // seeing them at the multiply, emits a 64×32-bit product: three
+        // `vpmuludq` in place of one.)
+        let mut chunks = m.chunks_exact(STEP);
+        let first = chunks.next().expect("at least one step");
+        let mut acc = load(first.try_into().expect("a whole step"));
+        let h = to26(h);
+        for (a, &hi) in acc.iter_mut().zip(&h) {
+            *a = _mm256_add_epi64(*a, _mm256_setr_epi64x(hi as i64, 0, 0, 0));
+        }
+        for chunk in chunks {
+            let msg = load(chunk.try_into().expect("a whole step"));
+            let prod = mul(&carry(acc), &step);
+            for ((a, p), mi) in acc.iter_mut().zip(prod).zip(msg) {
+                *a = _mm256_add_epi64(p, mi);
+            }
+        }
+        // Fold the lanes: each column is under 2^57, so four sum in u64.
+        let d = mul(&carry(acc), &fold);
+        let mut l = [0u64; 5];
+        for (li, di) in l.iter_mut().zip(d) {
+            let lanes = [
+                _mm256_extract_epi64(di, 0),
+                _mm256_extract_epi64(di, 1),
+                _mm256_extract_epi64(di, 2),
+                _mm256_extract_epi64(di, 3),
+            ];
+            *li = lanes.iter().map(|&x| x as u64).sum();
+        }
+        from26(carry26(l))
+    }
+}
+
 /// One-shot tag over a single message.
 pub fn poly1305(key: &[u8; KEY_LEN], msg: &[u8]) -> [u8; TAG_LEN] {
     let mut p = Poly1305::new(key);
@@ -255,6 +494,83 @@ pub fn poly1305(key: &[u8; KEY_LEN], msg: &[u8]) -> [u8; TAG_LEN] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sfs_bignum::{RandomSource, XorShiftSource};
+
+    /// The scalar tier in 16-byte updates, which never reach the vector
+    /// tier whatever the host: the reference the tiers are held to.
+    fn scalar_tag(key: &[u8; KEY_LEN], msg: &[u8]) -> [u8; TAG_LEN] {
+        let mut p = Poly1305::new(key);
+        for chunk in msg.chunks(BLOCK_LEN) {
+            p.update_with(false, chunk);
+        }
+        p.finish()
+    }
+
+    /// One-shot tags from every tier the host has, by name.
+    fn tier_tags(key: &[u8; KEY_LEN], msg: &[u8]) -> Vec<(&'static str, [u8; TAG_LEN])> {
+        let mut tiers = vec![("scalar", false)];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            tiers.push(("avx2", true));
+        }
+        let mut tags = Vec::new();
+        for (name, vector) in tiers {
+            let mut p = Poly1305::new(key);
+            p.update_with(vector, msg);
+            tags.push((name, p.finish()));
+        }
+        tags
+    }
+
+    #[test]
+    fn every_tier_matches_chunked_scalar() {
+        // Seeded random keys and messages, with all-ones keys and
+        // messages (every limb at its maximum, so every carry fires) on
+        // one case in eight.
+        let mut rng = XorShiftSource::new(0x9017_1305);
+        for case in 0..3000usize {
+            let mut len_bytes = [0u8; 2];
+            rng.fill(&mut len_bytes);
+            let len = match case {
+                0..=1100 => case,
+                _ => usize::from(u16::from_le_bytes(len_bytes)) % 9000,
+            };
+            let mut key = [0xffu8; KEY_LEN];
+            let mut msg = vec![0xffu8; len];
+            if case % 8 != 0 {
+                rng.fill(&mut key);
+                rng.fill(&mut msg);
+            }
+            let want = scalar_tag(&key, &msg);
+            for (name, tag) in tier_tags(&key, &msg) {
+                assert_eq!(tag, want, "{name} case {case} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_split_matches_one_shot() {
+        // Splits of 1–64 bytes over 1 KiB: all in fragments, and one
+        // fragment then the rest at once (a vector run behind a staged
+        // partial block).
+        let mut rng = XorShiftSource::new(0x5917);
+        let mut key = [0u8; KEY_LEN];
+        rng.fill(&mut key);
+        let mut msg = vec![0u8; 1024];
+        rng.fill(&mut msg);
+        let want = scalar_tag(&key, &msg);
+        for split in 1..=64 {
+            let mut p = Poly1305::new(&key);
+            for chunk in msg.chunks(split) {
+                p.update(chunk);
+            }
+            assert_eq!(p.finish(), want, "fragments of {split}");
+            let mut p = Poly1305::new(&key);
+            p.update(&msg[..split]);
+            p.update(&msg[split..]);
+            assert_eq!(p.finish(), want, "{split} then the rest");
+        }
+    }
 
     #[test]
     fn rfc8439_tag_vector() {

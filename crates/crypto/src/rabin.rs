@@ -21,6 +21,10 @@ use sfs_bignum::{gen_prime_congruent, jacobi, sqrt_mod_3mod4, Crt, Nat, RandomSo
 
 use crate::sha1::{mgf1, sha1, sha1_concat, DIGEST_LEN};
 
+/// The shortest modulus, in bytes, with room for OAEP padding: a zero
+/// byte, the masked seed, the label hash and the 0x01 separator.
+const MIN_OAEP_MODULUS_LEN: usize = 2 * DIGEST_LEN + 2;
+
 /// Errors from Rabin operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RabinError {
@@ -32,6 +36,9 @@ pub enum RabinError {
     BadCiphertextLength,
     /// A key blob failed to parse.
     BadKeyEncoding,
+    /// The modulus is shorter than OAEP padding (2·20 + 2 bytes), so the
+    /// key can sign but not encrypt or decrypt.
+    ModulusTooSmall,
 }
 
 impl std::fmt::Display for RabinError {
@@ -41,6 +48,7 @@ impl std::fmt::Display for RabinError {
             RabinError::DecryptionFailed => write!(f, "Rabin decryption failed"),
             RabinError::BadCiphertextLength => write!(f, "ciphertext length mismatch"),
             RabinError::BadKeyEncoding => write!(f, "malformed Rabin key encoding"),
+            RabinError::ModulusTooSmall => write!(f, "Rabin modulus too small for OAEP"),
         }
     }
 }
@@ -160,12 +168,15 @@ impl RabinPublicKey {
 
     /// Maximum plaintext length for [`Self::encrypt`].
     pub fn max_plaintext_len(&self) -> usize {
-        self.k.saturating_sub(2 * DIGEST_LEN + 2)
+        self.k.saturating_sub(MIN_OAEP_MODULUS_LEN)
     }
 
     /// OAEP-pads and encrypts `msg` (one modular squaring — "particularly
     /// fast").
     pub fn encrypt<R: RandomSource>(&self, msg: &[u8], rng: &mut R) -> Result<Vec<u8>, RabinError> {
+        if self.k < MIN_OAEP_MODULUS_LEN {
+            return Err(RabinError::ModulusTooSmall);
+        }
         if msg.len() > self.max_plaintext_len() {
             return Err(RabinError::MessageTooLong);
         }
@@ -241,6 +252,9 @@ impl RabinPrivateKey {
     /// awareness: an adversary cannot produce a valid ciphertext except by
     /// encrypting, so chosen-ciphertext queries are useless).
     pub fn decrypt(&self, cipher: &[u8]) -> Result<Vec<u8>, RabinError> {
+        if self.public.k < MIN_OAEP_MODULUS_LEN {
+            return Err(RabinError::ModulusTooSmall);
+        }
         if cipher.len() != self.public.k {
             return Err(RabinError::BadCiphertextLength);
         }
@@ -566,5 +580,33 @@ mod tests {
         let mut sig = key.sign(b"m");
         sig.root = key.public().modulus().add_nat(&sig.root);
         assert!(!key.public().verify(b"m", &sig));
+    }
+
+    #[test]
+    fn moduli_too_small_for_oaep_are_errors_not_panics() {
+        // p = 3, q = 7 is a well-formed key blob (tiny keys may sign), but
+        // n = 21 leaves no room for OAEP padding.
+        let mut blob = Vec::new();
+        for v in [3u8, 7] {
+            blob.extend_from_slice(&1u32.to_be_bytes());
+            blob.push(v);
+        }
+        let tiny = RabinPrivateKey::from_bytes(&blob).expect("tiny keys parse");
+        assert_eq!(tiny.decrypt(&[0]), Err(RabinError::ModulusTooSmall));
+        let mut rng = XorShiftSource::new(3);
+        let n21 = RabinPublicKey::from_bytes(&[21]).expect("tiny moduli parse");
+        assert_eq!(n21.encrypt(&[], &mut rng), Err(RabinError::ModulusTooSmall));
+        // The boundary: 41 bytes is one short, 42 bytes pads an empty
+        // message.
+        let short = RabinPublicKey::from_bytes(&[0xff; MIN_OAEP_MODULUS_LEN - 1]).unwrap();
+        assert_eq!(
+            short.encrypt(&[], &mut rng),
+            Err(RabinError::ModulusTooSmall)
+        );
+        let fits = RabinPublicKey::from_bytes(&[0xff; MIN_OAEP_MODULUS_LEN]).unwrap();
+        assert_eq!(
+            fits.encrypt(&[], &mut rng).unwrap().len(),
+            MIN_OAEP_MODULUS_LEN
+        );
     }
 }

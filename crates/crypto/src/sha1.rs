@@ -200,6 +200,9 @@ mod shani {
     use super::BLOCK_LEN;
     use std::arch::x86_64::*;
 
+    /// # Safety
+    ///
+    /// The CPU must support SHA, SSSE3 and SSE4.1.
     #[target_feature(enable = "sha,ssse3,sse4.1")]
     pub(super) unsafe fn compress(h: &mut [u32; 5], block: &[u8; BLOCK_LEN]) {
         // Lane order: `abcd` holds a,b,c,d with a in the high lane
@@ -489,6 +492,7 @@ mod tests {
             for (k, b) in block.iter_mut().enumerate() {
                 *b = round.wrapping_mul(37).wrapping_add(k as u8);
             }
+            // SAFETY: SHA, SSSE3 and SSE4.1 presence is checked at the top.
             unsafe { super::shani::compress(&mut h_hw, &block) };
             compress_scalar(&mut h_sw, &block);
             assert_eq!(h_hw, h_sw, "round={round}");
