@@ -12,10 +12,13 @@
 //! above it means the pooled buffer flow broke somewhere.
 //!
 //! The public-key path is pinned too: `modpow` must allocate only in its
-//! set-up, whatever the exponent length, and one Rabin-768 `decrypt`
-//! stays under 128 allocations (17 272 when every `modpow` step did a
-//! long division, 113 with the Montgomery loop and the cached CRT
-//! coefficient).
+//! set-up, whatever the exponent length, one Rabin-768 `decrypt` stays
+//! under 128 allocations (17 272 when every `modpow` step did a long
+//! division, 113 with the Montgomery loop and the cached CRT coefficient,
+//! 92 with the cached root exponents and two recombinations instead of
+//! four), and one Rabin-512 `sign` under 80 (1 771 when three Jacobi
+//! symbols chose the tweaks, 74 now that the square roots of the hash
+//! carry them).
 
 use std::sync::Arc;
 
@@ -39,6 +42,7 @@ const GETATTR_ALLOC_CEILING: f64 = 9.0;
 const READ_ALLOC_CEILING: f64 = 13.0;
 const SHARDED_READ_ALLOC_CEILING: f64 = 24.0;
 const DECRYPT_768_ALLOC_CEILING: u64 = 128;
+const SIGN_512_ALLOC_CEILING: u64 = 80;
 
 #[test]
 fn steady_state_relay_allocations_stay_pinned() {
@@ -248,10 +252,8 @@ fn modpow_allocates_only_in_setup() {
 
 #[test]
 fn rabin_768_decrypt_allocations_stay_pinned() {
-    // One decryption: two square roots, four CRT recombinations and the
-    // OAEP check. Measured 17 272 allocations with a long division after
-    // every modpow step, 113 with the Montgomery loop and the cached CRT
-    // coefficient.
+    // One decryption: two square roots, two CRT recombinations and the
+    // OAEP check.
     let mut rng = XorShiftSource::new(0xDEC);
     let key = generate_keypair(768, &mut rng);
     let cipher = key.public().encrypt(b"sixteen-byte key", &mut rng).unwrap();
@@ -260,5 +262,19 @@ fn rabin_768_decrypt_allocations_stay_pinned() {
     assert!(
         allocs <= DECRYPT_768_ALLOC_CEILING,
         "Rabin-768 decrypt now costs {allocs} allocations (ceiling {DECRYPT_768_ALLOC_CEILING})"
+    );
+}
+
+#[test]
+fn rabin_512_sign_allocations_stay_pinned() {
+    // One user signature, as every mount's user authentication makes:
+    // two half-size square roots and one CRT recombination.
+    let mut rng = XorShiftSource::new(0x5164);
+    let key = generate_keypair(512, &mut rng);
+    let (sig, allocs) = count_allocs(|| key.sign(b"a message to sign"));
+    assert!(key.public().verify(b"a message to sign", &sig));
+    assert!(
+        allocs <= SIGN_512_ALLOC_CEILING,
+        "Rabin-512 sign now costs {allocs} allocations (ceiling {SIGN_512_ALLOC_CEILING})"
     );
 }

@@ -1,5 +1,5 @@
-//! Modular arithmetic: exponentiation, inverses, Jacobi symbols, square
-//! roots modulo Blum primes, and Chinese-remainder recombination.
+//! Modular arithmetic: exponentiation, inverses and Chinese-remainder
+//! recombination.
 //!
 //! These are exactly the number-theoretic operations Rabin–Williams
 //! decryption/signing (square roots via CRT) and SRP (modular
@@ -9,21 +9,23 @@ use crate::int::Int;
 use crate::nat::Nat;
 
 /// Widest modulus, in 64-bit limbs, that [`modpow`] exponentiates in
-/// Montgomery form on the stack: 1024 bits, the RFC 5054 SRP group and the
-/// widest modulus in the repository. The hot callers are far narrower: Rabin
+/// Montgomery form: 1024 bits, the RFC 5054 SRP group and the widest
+/// modulus in the repository. The hot callers are far narrower: Rabin
 /// square roots and Miller–Rabin run modulo 256- or 384-bit primes (4 or 6
-/// limbs) and SRP modulo a 128-bit group. Only the window table's stack
-/// footprint grows with this bound; each multiplication touches `m.len()`
-/// limbs. Wider or even moduli take [`modpow_reference`].
+/// limbs) and SRP modulo a 128-bit group. Every width up to this bound has
+/// its own instance of the kernel. Wider or even moduli take
+/// [`modpow_reference`].
 const MONT_MAX_LIMBS: usize = 16;
 
 /// Computes `base^exp mod m`.
 ///
 /// Odd moduli of up to 1024 bits run a fixed 4-bit window over Montgomery
-/// multiplications on stack arrays: after the set-up (`R² mod m`, the base
-/// and its 15-entry window table), the loop does no heap allocation. Other
-/// moduli fall back to plain square-and-multiply with a long division after
-/// every step. Both paths return the same fully reduced value.
+/// multiplications on `[u64; N]` stack arrays, with the limb count `N`
+/// picked once per call so that every loop in the kernel has a
+/// compile-time trip count. After the set-up (`R² mod m`, the base and
+/// its 15-entry window table), the loop does no heap allocation. Other
+/// moduli fall back to plain square-and-multiply with a long division
+/// after every step. Both paths return the same fully reduced value.
 ///
 /// # Panics
 ///
@@ -36,25 +38,42 @@ pub fn modpow(base: &Nat, exp: &Nat, m: &Nat) -> Nat {
     if exp.is_zero() {
         return Nat::one();
     }
-    if m.is_even() || m.limbs().len() > MONT_MAX_LIMBS {
+    if m.is_even() {
         return modpow_reference(base, exp, m);
     }
-    let ml = m.limbs();
-    let n = ml.len();
-    let m0inv = neg_inv_u64(ml[0]);
-    let mut t = [0u64; MONT_MAX_LIMBS + 1];
-    let mut mont = |out: &mut [u64], a: &[u64], b: &[u64]| {
-        mont_mul(out, a, b, ml, m0inv, &mut t[..n + 1]);
-    };
+    // One arm per width in 1..=MONT_MAX_LIMBS.
+    macro_rules! by_width {
+        ($($n:literal)*) => {
+            match m.limbs().len() {
+                $($n => modpow_mont::<$n>(base, exp, m),)*
+                n => {
+                    debug_assert!(n > MONT_MAX_LIMBS, "no kernel for {n} limbs");
+                    modpow_reference(base, exp, m)
+                }
+            }
+        };
+    }
+    by_width!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16)
+}
 
-    // table[w][..n] = base^w in Montgomery form; entry 0 is never read
-    // because the loop starts from the top window, which holds exp's top bit.
-    let mut table = [[0u64; MONT_MAX_LIMBS]; 16];
-    let r2 = load(&Nat::one().shl_bits(128 * n), m);
-    mont(&mut table[1][..n], &load(base, m)[..n], &r2[..n]);
+/// [`modpow`] for an odd `m` of exactly `N` limbs, in Montgomery form with
+/// `R = 2^(64N)`.
+fn modpow_mont<const N: usize>(base: &Nat, exp: &Nat, m: &Nat) -> Nat {
+    let ml: [u64; N] = m
+        .limbs()
+        .try_into()
+        .expect("modpow picks N = m's limb count");
+    let m0inv = neg_inv_u64(ml[0]);
+    let mont = |a: &[u64; N], b: &[u64; N]| mont_mul(a, b, &ml, m0inv);
+
+    // table[w] = base^w in Montgomery form; entry 0 is never read because
+    // the loop starts from the top window, which holds exp's top bit.
+    let mut table = [[0u64; N]; 16];
+    let r2 = Nat::one().shl_bits(128 * N).rem_nat(m).unwrap();
+    let base = base.rem_nat(m).unwrap();
+    table[1] = mont(&load(base.limbs()), &load(r2.limbs()));
     for w in 2..16 {
-        let (done, rest) = table.split_at_mut(w);
-        mont(&mut rest[0][..n], &done[w - 1][..n], &done[1][..n]);
+        table[w] = mont(&table[w - 1], &table[1]);
     }
     let window = |i: usize| {
         (exp.bit(i + 3) as usize) << 3
@@ -63,24 +82,20 @@ pub fn modpow(base: &Nat, exp: &Nat, m: &Nat) -> Nat {
             | exp.bit(i) as usize
     };
     let mut i = exp.bit_len().div_ceil(4) * 4 - 4;
-    let (mut acc_buf, mut tmp_buf) = (table[window(i)], [0u64; MONT_MAX_LIMBS]);
-    let (mut acc, mut tmp) = (&mut acc_buf[..n], &mut tmp_buf[..n]);
+    let mut acc = table[window(i)];
     while i > 0 {
         i -= 4;
         for _ in 0..4 {
-            mont(tmp, acc, acc);
-            std::mem::swap(&mut acc, &mut tmp);
+            acc = mont(&acc, &acc);
         }
         let w = window(i);
         if w != 0 {
-            mont(tmp, acc, &table[w][..n]);
-            std::mem::swap(&mut acc, &mut tmp);
+            acc = mont(&acc, &table[w]);
         }
     }
-    let mut one = [0u64; MONT_MAX_LIMBS];
+    let mut one = [0u64; N];
     one[0] = 1;
-    mont(tmp, acc, &one[..n]);
-    Nat::from_limbs(tmp.to_vec())
+    Nat::from_limbs(mont(&acc, &one).to_vec())
 }
 
 /// Computes `base^exp mod m` by plain binary square-and-multiply, reducing
@@ -100,11 +115,10 @@ fn modpow_reference(base: &Nat, exp: &Nat, m: &Nat) -> Nat {
     acc
 }
 
-/// `x mod m` in a stack array; the low `m.limbs().len()` limbs are live.
-fn load(x: &Nat, m: &Nat) -> [u64; MONT_MAX_LIMBS] {
-    let r = x.rem_nat(m).unwrap();
-    let mut out = [0; MONT_MAX_LIMBS];
-    out[..r.limbs().len()].copy_from_slice(r.limbs());
+/// The limbs of a value below an `N`-limb modulus, zero-extended to `N`.
+fn load<const N: usize>(limbs: &[u64]) -> [u64; N] {
+    let mut out = [0; N];
+    out[..limbs.len()].copy_from_slice(limbs);
     out
 }
 
@@ -118,47 +132,49 @@ fn neg_inv_u64(m0: u64) -> u64 {
     inv.wrapping_neg()
 }
 
-/// Montgomery product `out = a·b·R⁻¹ mod m` with `R = 2^(64n)` and
-/// `n = m.len()`, by coarsely integrated operand scanning (CIOS). `a`, `b`
-/// and `out` are `n` limbs, `t` is `n + 1` limbs of scratch. Requires
-/// `a, b < m`; the result is fully reduced.
-fn mont_mul(out: &mut [u64], a: &[u64], b: &[u64], m: &[u64], m0inv: u64, t: &mut [u64]) {
-    let n = m.len();
-    t.fill(0);
-    // t < 2m < 2R between rounds; within a round t + a·bi can carry one
-    // bit past the n + 1 limbs, held in `hi`.
+/// Montgomery product `a·b·R⁻¹ mod m` with `R = 2^(64N)`, by coarsely
+/// integrated operand scanning (CIOS). Requires `a, b < m`; the result is
+/// fully reduced.
+fn mont_mul<const N: usize>(a: &[u64; N], b: &[u64; N], m: &[u64; N], m0inv: u64) -> [u64; N] {
+    // The accumulator is t[..N] plus its top limb `top`: t < 2m < 2R
+    // between rounds; within a round t + a·bi can carry one bit past
+    // those N + 1 limbs, held in `hi`.
+    let mut t = [0u64; N];
+    let mut top = 0u64;
     for &bi in b {
         let mut c = 0u64;
-        for (tj, &aj) in t.iter_mut().zip(a) {
-            let s = *tj as u128 + aj as u128 * bi as u128 + c as u128;
-            *tj = s as u64;
+        for j in 0..N {
+            let s = t[j] as u128 + a[j] as u128 * bi as u128 + c as u128;
+            t[j] = s as u64;
             c = (s >> 64) as u64;
         }
-        let s = t[n] as u128 + c as u128;
-        t[n] = s as u64;
-        let hi = (s >> 64) as u64;
+        let s = top as u128 + c as u128;
+        let (top_lo, hi) = (s as u64, (s >> 64) as u64);
         let u = t[0].wrapping_mul(m0inv);
         let s = t[0] as u128 + u as u128 * m[0] as u128;
         let mut c = (s >> 64) as u64;
-        for j in 1..n {
+        for j in 1..N {
             let s = t[j] as u128 + u as u128 * m[j] as u128 + c as u128;
             t[j - 1] = s as u64;
             c = (s >> 64) as u64;
         }
-        let s = t[n] as u128 + c as u128;
-        t[n - 1] = s as u64;
-        t[n] = hi + (s >> 64) as u64;
+        let s = top_lo as u128 + c as u128;
+        t[N - 1] = s as u64;
+        top = hi + (s >> 64) as u64;
     }
+    let mut out = [0u64; N];
     let mut borrow = 0u64;
-    for ((o, &tj), &mj) in out.iter_mut().zip(&*t).zip(m) {
-        let (d1, o1) = tj.overflowing_sub(mj);
+    for j in 0..N {
+        let (d1, o1) = t[j].overflowing_sub(m[j]);
         let (d2, o2) = d1.overflowing_sub(borrow);
-        *o = d2;
+        out[j] = d2;
         borrow = (o1 | o2) as u64;
     }
-    if t[n] == 0 && borrow == 1 {
+    if top == 0 && borrow == 1 {
         // t < m: keep it.
-        out.copy_from_slice(&t[..n]);
+        t
+    } else {
+        out
     }
 }
 
@@ -197,65 +213,6 @@ pub fn invmod(a: &Nat, m: &Nat) -> Option<Nat> {
         return None;
     }
     Some(x.rem_euclid(m))
-}
-
-/// Computes the Jacobi symbol `(a/n)` for odd `n > 0`; returns -1, 0, or 1.
-///
-/// # Panics
-///
-/// Panics if `n` is even or zero.
-pub fn jacobi(a: &Nat, n: &Nat) -> i32 {
-    assert!(
-        n.is_odd() && !n.is_zero(),
-        "Jacobi symbol requires odd n > 0"
-    );
-    let mut a = a.rem_nat(n).unwrap();
-    let mut n = n.clone();
-    let mut result = 1i32;
-    while !a.is_zero() {
-        let tz = a.trailing_zeros().unwrap();
-        a = a.shr_bits(tz);
-        if tz % 2 == 1 {
-            // (2/n) = -1 when n ≡ 3, 5 (mod 8).
-            let n_mod8 = n.limbs().first().unwrap() % 8;
-            if n_mod8 == 3 || n_mod8 == 5 {
-                result = -result;
-            }
-        }
-        // Quadratic reciprocity flip.
-        let a_mod4 = a.limbs().first().unwrap() % 4;
-        let n_mod4 = n.limbs().first().unwrap() % 4;
-        if a_mod4 == 3 && n_mod4 == 3 {
-            result = -result;
-        }
-        std::mem::swap(&mut a, &mut n);
-        a = a.rem_nat(&n).unwrap();
-    }
-    if n.is_one() {
-        result
-    } else {
-        0
-    }
-}
-
-/// Computes a square root of `a` modulo a prime `p ≡ 3 (mod 4)` as
-/// `a^((p+1)/4) mod p`, returning `None` if `a` is not a quadratic residue.
-///
-/// Rabin–Williams only ever takes roots modulo Blum primes, so the general
-/// Tonelli–Shanks algorithm is unnecessary.
-pub fn sqrt_mod_3mod4(a: &Nat, p: &Nat) -> Option<Nat> {
-    debug_assert_eq!(p.limbs().first().unwrap_or(&3) % 4, 3);
-    let a = a.rem_nat(p).unwrap();
-    if a.is_zero() {
-        return Some(Nat::zero());
-    }
-    let e = p.add_nat(&Nat::one()).shr_bits(2);
-    let r = modpow(&a, &e, p);
-    if r.square().rem_nat(p).unwrap() == a {
-        Some(r)
-    } else {
-        None
-    }
 }
 
 /// Chinese-remainder recombination under two fixed coprime moduli `p`
@@ -371,22 +328,24 @@ mod tests {
                 [0xc8000e24fcae219b, 0xfffffff65f053403, u64::MAX],
             ),
         ];
-        for (a, b) in cases {
-            let n = if a[2] == 0 { 2 } else { 3 };
-            let m = [u64::MAX; 3];
-            let mut got = [0u64; 3];
-            let mut t = [0u64; 4];
-            mont_mul(
-                &mut got[..n],
-                &a[..n],
-                &b[..n],
-                &m[..n],
+        fn check<const N: usize>(a: &[u64], b: &[u64]) {
+            let m = [u64::MAX; N];
+            let got = mont_mul::<N>(
+                a.try_into().unwrap(),
+                b.try_into().unwrap(),
+                &m,
                 neg_inv_u64(u64::MAX),
-                &mut t[..n + 1],
             );
             let (an, bn) = (Nat::from_limbs(a.to_vec()), Nat::from_limbs(b.to_vec()));
-            let want = an.mul_nat(&bn).rem_nat(&Nat::from_limbs(m[..n].to_vec()));
+            let want = an.mul_nat(&bn).rem_nat(&Nat::from_limbs(m.to_vec()));
             assert_eq!(Nat::from_limbs(got.to_vec()), want.unwrap());
+        }
+        for (a, b) in cases {
+            if a[2] == 0 {
+                check::<2>(&a[..2], &b[..2]);
+            } else {
+                check::<3>(&a, &b);
+            }
         }
     }
 
@@ -506,37 +465,6 @@ mod tests {
         } else {
             panic!("expected invertible");
         }
-    }
-
-    #[test]
-    fn jacobi_small_table() {
-        // Classical table: (a/15) for a in 1..8 = 1,1,0,1,0,0,-1,1.
-        let vals = [1, 1, 0, 1, 0, 0, -1, 1];
-        for (a, want) in (1u64..=8).zip(vals) {
-            assert_eq!(jacobi(&n(a), &n(15)), want, "a={a}");
-        }
-    }
-
-    #[test]
-    fn jacobi_quadratic_residues_mod_p() {
-        let p = 23u64;
-        for a in 1..p {
-            let is_qr = (1..p).any(|x| (x * x) % p == a);
-            let j = jacobi(&n(a), &n(p));
-            assert_eq!(j == 1, is_qr, "a={a}");
-        }
-    }
-
-    #[test]
-    fn sqrt_mod_blum_prime() {
-        let p = n(23); // 23 ≡ 3 (mod 4)
-        for a in 1u64..23 {
-            let sq = (a * a) % 23;
-            let r = sqrt_mod_3mod4(&n(sq), &p).expect("square must have root");
-            assert_eq!(r.square().rem_nat(&p).unwrap(), n(sq));
-        }
-        // 5 is a non-residue mod 23.
-        assert_eq!(sqrt_mod_3mod4(&n(5), &p), None);
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //! `(e, f)`. Verification is a single modular squaring — cheap, which is
 //! what lets SFS read-only servers serve many clients (§2.4).
 
-use sfs_bignum::{gen_prime_congruent, jacobi, sqrt_mod_3mod4, Crt, Nat, RandomSource};
+use sfs_bignum::{
+    gen_prime_congruent, is_probable_prime, modpow, Crt, Nat, RandomSource, XorShiftSource,
+    MR_ROUNDS,
+};
 
 use crate::sha1::{mgf1, sha1, sha1_concat, DIGEST_LEN};
 
@@ -69,7 +72,37 @@ pub struct RabinPrivateKey {
     /// The factors `p`, `q` with the CRT coefficient every root
     /// recombination uses.
     crt: Crt,
+    /// The root exponents and ×2 root factors for `p` and for `q`.
+    half_p: HalfKey,
+    half_q: HalfKey,
     public: RabinPublicKey,
+}
+
+/// What square roots modulo one prime factor `p ≡ 3 (mod 4)` need.
+#[derive(Clone)]
+struct HalfKey {
+    /// `(p+1)/4`.
+    e: Nat,
+    /// `2^e mod p`: a root of the ×2 tweak.
+    two_root: Nat,
+}
+
+impl HalfKey {
+    fn new(p: &Nat) -> Self {
+        let e = p.add_nat(&Nat::one()).shr_bits(2);
+        let two_root = modpow(&Nat::from(2u64), &e, p);
+        HalfKey { e, two_root }
+    }
+
+    /// `r = a^((p+1)/4) mod p`, and whether `a` is a quadratic residue
+    /// mod `p`. By Euler's criterion `r² = a·a^((p−1)/2) ≡ ±a`, with `+`
+    /// exactly when `a` is a residue (or `a ≡ 0`), so the root carries
+    /// the Legendre symbol with it.
+    fn root(&self, a: &Nat, p: &Nat) -> (Nat, bool) {
+        let r = modpow(a, &self.e, p);
+        let is_residue = r.square().rem_nat(p).unwrap() == a.rem_nat(p).unwrap();
+        (r, is_residue)
+    }
 }
 
 /// A Rabin–Williams signature: tweak bits and a square root.
@@ -262,48 +295,65 @@ impl RabinPrivateKey {
         if c >= self.public.n {
             return Err(RabinError::BadCiphertextLength);
         }
-        let rp = sqrt_mod_3mod4(&c, self.crt.p()).ok_or(RabinError::DecryptionFailed)?;
-        let rq = sqrt_mod_3mod4(&c, self.crt.q()).ok_or(RabinError::DecryptionFailed)?;
-        let roots = self.all_roots(&rp, &rq);
-        for r in roots {
-            if let Some(m) = self.try_unpad(&r) {
-                return Ok(m);
-            }
+        let (p, q) = (self.crt.p(), self.crt.q());
+        let (rp, p_residue) = self.half_p.root(&c, p);
+        let (rq, q_residue) = self.half_q.root(&c, q);
+        if !(p_residue && q_residue) {
+            return Err(RabinError::DecryptionFailed);
         }
-        Err(RabinError::DecryptionFailed)
+        // The four roots are (±rp, ±rq) recombined; negating both signs
+        // negates the root mod n, so two recombinations give all four.
+        let n = &self.public.n;
+        let neg_rq = q.checked_sub(&rq).unwrap().rem_nat(q).unwrap();
+        let x1 = self.crt.combine(&rp, &rq);
+        let x2 = self.crt.combine(&rp, &neg_rq);
+        let (x3, x4) = (n.checked_sub(&x2).unwrap(), n.checked_sub(&x1).unwrap());
+        [x1, x2, x3, x4]
+            .iter()
+            .find_map(|r| self.try_unpad(r))
+            .ok_or(RabinError::DecryptionFailed)
     }
 
     /// Signs `msg` deterministically.
     pub fn sign(&self, msg: &[u8]) -> RabinSignature {
+        self.sign_hash(fdh(msg, &self.public.n, self.public.k))
+    }
+
+    /// Signs the full-domain hash `h < n`.
+    ///
+    /// The tweaks follow from the roots of `h` itself: with `rp = h^ep mod
+    /// p` and `rq = h^eq mod q` (`e = (prime+1)/4`), `rp² ≡ h` exactly when
+    /// `h` is a residue mod `p`, and `rp² ≡ −h` otherwise. ×2 flips the
+    /// residuosity mod `p` (`p ≡ 3 mod 8`) but not mod `q` (`q ≡ 7 mod
+    /// 8`), and ×(−1) flips both, so exactly one of `±h`, `±2h` is a
+    /// residue mod both. Its root mod each prime is `rp` (or `rq`) times
+    /// the cached `2^e` when doubled, negated mod `p` only when negated:
+    /// `ep` is odd and `eq` even. That is the root `target^e` itself, so
+    /// the signature matches one computed from the tweaked target.
+    fn sign_hash(&self, mut h: Nat) -> RabinSignature {
+        let (p, q) = (self.crt.p(), self.crt.q());
         let n = &self.public.n;
-        let mut h = fdh(msg, n, self.public.k);
         // Degenerate h (shared factor with n) would reveal the
         // factorization; perturb deterministically. Probability ~ 2^-600.
-        // A Jacobi symbol is zero exactly when h shares a factor with that
-        // modulus, so the symbols double as the coprimality test.
-        let (jp, jq) = loop {
-            let (jp, jq) = (jacobi(&h, self.crt.p()), jacobi(&h, self.crt.q()));
-            if jp != 0 && jq != 0 {
-                break (jp, jq);
+        // h ≡ 0 mod a prime exactly when its root there is zero.
+        let ((rp, p_residue), (rq, q_residue)) = loop {
+            let (rp, rq) = (self.half_p.root(&h, p), self.half_q.root(&h, q));
+            if !rp.0.is_zero() && !rq.0.is_zero() {
+                break (rp, rq);
             }
             h = h.add_nat(&Nat::one()).rem_nat(n).unwrap();
         };
-        // ×2 flips the symbol mod p (p ≡ 3 mod 8 ⇒ (2/p) = −1) but not mod
-        // q (q ≡ 7 mod 8 ⇒ (2/q) = +1); ×(−1) flips both (p, q ≡ 3 mod 4).
-        let double = jp != jq;
-        let mut target = h;
+        let double = p_residue != q_residue;
+        let negate = !q_residue;
+        let (mut xp, mut xq) = (rp, rq);
         if double {
-            target = target.shl_bits(1).rem_nat(n).unwrap();
+            xp = xp.mul_nat(&self.half_p.two_root).rem_nat(p).unwrap();
+            xq = xq.mul_nat(&self.half_q.two_root).rem_nat(q).unwrap();
         }
-        let negate = jacobi(&target, self.crt.q()) == -1;
         if negate {
-            target = n.checked_sub(&target).unwrap();
+            xp = p.checked_sub(&xp).unwrap();
         }
-        debug_assert_eq!(jacobi(&target, self.crt.p()), 1);
-        debug_assert_eq!(jacobi(&target, self.crt.q()), 1);
-        let rp = sqrt_mod_3mod4(&target, self.crt.p()).expect("tweaked hash must be a QR mod p");
-        let rq = sqrt_mod_3mod4(&target, self.crt.q()).expect("tweaked hash must be a QR mod q");
-        let s = self.crt.combine(&rp, &rq);
+        let s = self.crt.combine(&xp, &xq);
         // Canonicalize to the smaller of {s, n-s} so signing is a function.
         let s_alt = n.checked_sub(&s).unwrap();
         let root = if s_alt < s { s_alt } else { s };
@@ -314,33 +364,22 @@ impl RabinPrivateKey {
         }
     }
 
-    /// All four CRT combinations of `(±rp, ±rq)`.
-    fn all_roots(&self, rp: &Nat, rq: &Nat) -> [Nat; 4] {
-        let (p, q) = (self.crt.p(), self.crt.q());
-        let np = p.checked_sub(rp).unwrap().rem_nat(p).unwrap();
-        let nq = q.checked_sub(rq).unwrap().rem_nat(q).unwrap();
-        let crt = |xp: &Nat, xq: &Nat| self.crt.combine(xp, xq);
-        [crt(rp, rq), crt(rp, &nq), crt(&np, rq), crt(&np, &nq)]
-    }
-
     /// Attempts OAEP unpadding of a candidate root.
     fn try_unpad(&self, m: &Nat) -> Option<Vec<u8>> {
         let k = self.public.k;
-        let em = m.to_bytes_be();
-        if em.len() > k - 1 {
+        // EM's top byte is zero; a root with it set is not the padded one.
+        if m.bit_len() > 8 * (k - 1) {
             return None;
         }
-        let mut padded = vec![0u8; k - 1 - em.len()];
-        padded.extend_from_slice(&em);
-        let (masked_seed, db) = padded.split_at(DIGEST_LEN);
-        let seed_mask = mgf1(db, DIGEST_LEN);
-        let seed: Vec<u8> = masked_seed
-            .iter()
-            .zip(seed_mask.iter())
-            .map(|(a, b)| a ^ b)
-            .collect();
-        let db_mask = mgf1(&seed, db.len());
-        let db: Vec<u8> = db.iter().zip(db_mask.iter()).map(|(a, b)| a ^ b).collect();
+        let mut padded = m.to_bytes_be_padded(k - 1);
+        let (seed, db) = padded.split_at_mut(DIGEST_LEN);
+        for (b, mask) in seed.iter_mut().zip(mgf1(db, DIGEST_LEN)) {
+            *b ^= mask;
+        }
+        let db_mask = mgf1(seed, db.len());
+        for (b, mask) in db.iter_mut().zip(db_mask) {
+            *b ^= mask;
+        }
         let lhash = sha1(b"SFS-rabin-oaep");
         if db[..DIGEST_LEN] != lhash {
             return None;
@@ -374,7 +413,7 @@ impl RabinPrivateKey {
     }
 
     /// Parses a blob from [`Self::to_bytes`], validating the Rabin–
-    /// Williams congruences and that `p` and `q` are coprime.
+    /// Williams congruences and that `p` and `q` are distinct primes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, RabinError> {
         let take = |data: &[u8]| -> Result<(Nat, usize), RabinError> {
             if data.len() < 4 {
@@ -394,6 +433,13 @@ impl RabinPrivateKey {
         if p.div_rem_u64(8).1 != 3 || q.div_rem_u64(8).1 != 7 {
             return Err(RabinError::BadKeyEncoding);
         }
+        // A fixed witness source keeps parsing a function of the bytes.
+        let mut witnesses = XorShiftSource::new(0x5EED);
+        if !is_probable_prime(&p, MR_ROUNDS, &mut witnesses)
+            || !is_probable_prime(&q, MR_ROUNDS, &mut witnesses)
+        {
+            return Err(RabinError::BadKeyEncoding);
+        }
         RabinPrivateKey::from_factors(p, q).ok_or(RabinError::BadKeyEncoding)
     }
 
@@ -404,6 +450,8 @@ impl RabinPrivateKey {
         let n = crt.p().mul_nat(crt.q());
         let k = n.to_bytes_be().len();
         Some(RabinPrivateKey {
+            half_p: HalfKey::new(crt.p()),
+            half_q: HalfKey::new(crt.q()),
             crt,
             public: RabinPublicKey { n, k },
         })
@@ -504,6 +552,72 @@ mod tests {
     }
 
     #[test]
+    fn half_key_roots_carry_the_legendre_symbol() {
+        for p in [11u64, 23] {
+            let pn = Nat::from(p);
+            let half = HalfKey::new(&pn);
+            for a in 0..p {
+                let is_square = (0..p).any(|x| x * x % p == a);
+                let (r, is_residue) = half.root(&Nat::from(a), &pn);
+                assert_eq!(is_residue, is_square, "a={a} p={p}");
+                let want = if is_square { a } else { p - a };
+                assert_eq!(r.square().rem_nat(&pn).unwrap(), Nat::from(want));
+            }
+            // 2 is a residue mod 23 ≡ 7 (mod 8), −2 is one mod 11 ≡ 3.
+            let two_sq = half.two_root.square().rem_nat(&pn).unwrap();
+            assert_eq!(two_sq, Nat::from(if p % 8 == 7 { 2 } else { p - 2 }));
+        }
+    }
+
+    #[test]
+    fn sign_tweaks_follow_euler_criterion() {
+        // The tweaks read off the roots must be the ones the Legendre
+        // symbols of h prescribe, computed here by Euler's criterion.
+        const MESSAGES: usize = 200;
+        for (bits, seed) in [(256, 0x256), (512, 0x512), (768, 0x768)] {
+            let key = generate_keypair(bits, &mut XorShiftSource::new(seed));
+            let (p, q) = (key.crt.p(), key.crt.q());
+            let n = key.public().modulus();
+            // (p−1)/2 = p >> 1 for odd p.
+            let residue = |h: &Nat, p: &Nat| modpow(h, &p.shr_bits(1), p).is_one();
+            for i in 0..MESSAGES {
+                let msg = format!("euler {bits} {i}");
+                let h = fdh(msg.as_bytes(), n, key.public().len());
+                let sig = key.sign(msg.as_bytes());
+                let (jp, jq) = (residue(&h, p), residue(&h, q));
+                assert_eq!(sig.double, jp != jq, "{msg}");
+                assert_eq!(sig.negate, !jq, "{msg}");
+                assert!(sig.root <= n.checked_sub(&sig.root).unwrap(), "{msg}");
+                assert!(key.public().verify(msg.as_bytes(), &sig), "{msg}");
+            }
+        }
+    }
+
+    #[test]
+    fn hash_sharing_a_factor_with_n_is_perturbed() {
+        // h ≡ 0 mod p, mod q or mod both is signed as h + 1 instead.
+        let key = test_key();
+        let (p, q) = (key.crt.p().clone(), key.crt.q().clone());
+        let one = Nat::one();
+        for h in [Nat::zero(), p.clone(), q.clone(), p.shl_bits(1)] {
+            let next = h.add_nat(&one);
+            assert_eq!(key.sign_hash(h), key.sign_hash(next));
+        }
+        // The signature of the perturbed hash verifies against it.
+        let sig = key.sign_hash(p.clone());
+        let mut target = p.add_nat(&one);
+        if sig.double {
+            target = target.shl_bits(1);
+        }
+        let n = key.public().modulus();
+        target = target.rem_nat(n).unwrap();
+        if sig.negate {
+            target = n.checked_sub(&target).unwrap();
+        }
+        assert_eq!(sig.root.square().rem_nat(n).unwrap(), target);
+    }
+
+    #[test]
     fn signature_rejects_other_message() {
         let key = test_key();
         let sig = key.sign(b"the real message");
@@ -559,19 +673,77 @@ mod tests {
         );
     }
 
+    /// The private-key blob for the factors `p`, `q`.
+    fn key_blob(p: u64, q: u64) -> Vec<u8> {
+        let mut blob = Vec::new();
+        for v in [p, q] {
+            let bytes = Nat::from(v).to_bytes_be();
+            blob.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+            blob.extend_from_slice(&bytes);
+        }
+        blob
+    }
+
     #[test]
     fn key_blob_with_shared_factor_rejected() {
         // p = 11 ≡ 3 and q = 55 ≡ 7 (mod 8) pass the congruence checks but
         // share the factor 11, so no CRT coefficient exists.
-        let mut blob = Vec::new();
-        for v in [11u8, 55] {
-            blob.extend_from_slice(&1u32.to_be_bytes());
-            blob.push(v);
-        }
         assert!(matches!(
-            RabinPrivateKey::from_bytes(&blob),
+            RabinPrivateKey::from_bytes(&key_blob(11, 55)),
             Err(RabinError::BadKeyEncoding)
         ));
+    }
+
+    #[test]
+    fn key_blob_with_composite_factor_rejected() {
+        // Coprime and in the right classes mod 8, but 15 = 3·5 and
+        // 72 731 = 257·283; the second has no factor trial division finds,
+        // so Miller–Rabin must catch it.
+        for (p, q) in [(11, 15), (72_731, 23)] {
+            assert!(matches!(
+                RabinPrivateKey::from_bytes(&key_blob(p, q)),
+                Err(RabinError::BadKeyEncoding)
+            ));
+        }
+    }
+
+    #[test]
+    fn every_parsed_key_signs_and_decrypts_without_panicking() {
+        // Every blob with p ≡ 3, q ≡ 7 (mod 8) below 400, prime or not,
+        // and a full-size key's blob: whatever parses signs without
+        // panicking, verifiably unless the hash shares a factor with n
+        // (likely for tiny n, and then sign perturbs it), and decrypt
+        // returns rather than panics.
+        let mut blobs = vec![test_key().to_bytes()];
+        for p in (3..400).step_by(8) {
+            for q in (7..400).step_by(8) {
+                blobs.push(key_blob(p, q));
+            }
+        }
+        let mut parsed = 0;
+        for blob in &blobs {
+            let Ok(key) = RabinPrivateKey::from_bytes(blob) else {
+                continue;
+            };
+            parsed += 1;
+            let n = key.public().modulus();
+            for msg in [&b""[..], b"AuthMsg"] {
+                let sig = key.sign(msg);
+                let h = fdh(msg, n, key.public().len());
+                if [key.crt.p(), key.crt.q()]
+                    .iter()
+                    .all(|f| !h.rem_nat(f).unwrap().is_zero())
+                {
+                    assert!(key.public().verify(msg, &sig), "{key:?}");
+                }
+            }
+            let below_n = n.checked_sub(&Nat::one()).unwrap();
+            for c in [Nat::zero(), Nat::one(), below_n] {
+                let _ = key.decrypt(&c.to_bytes_be_padded(key.public().len()));
+            }
+        }
+        // The full-size key and 20 × 20 pairs of small primes.
+        assert_eq!(parsed, 1 + 20 * 20);
     }
 
     #[test]
@@ -586,12 +758,7 @@ mod tests {
     fn moduli_too_small_for_oaep_are_errors_not_panics() {
         // p = 3, q = 7 is a well-formed key blob (tiny keys may sign), but
         // n = 21 leaves no room for OAEP padding.
-        let mut blob = Vec::new();
-        for v in [3u8, 7] {
-            blob.extend_from_slice(&1u32.to_be_bytes());
-            blob.push(v);
-        }
-        let tiny = RabinPrivateKey::from_bytes(&blob).expect("tiny keys parse");
+        let tiny = RabinPrivateKey::from_bytes(&key_blob(3, 7)).expect("tiny keys parse");
         assert_eq!(tiny.decrypt(&[0]), Err(RabinError::ModulusTooSmall));
         let mut rng = XorShiftSource::new(3);
         let n21 = RabinPublicKey::from_bytes(&[21]).expect("tiny moduli parse");
